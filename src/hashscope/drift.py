@@ -38,20 +38,6 @@ class AlignmentMap:
 
 
 @dataclass
-class YearlyEmbeddings:
-    tables: dict[int, EmbeddingTable]
-
-    @property
-    def years(self) -> list[int]:
-        return sorted(self.tables)
-
-    def shared_vocab(self, year_a: int, year_b: int, order_by: dict[str, int]) -> list[str]:
-        """Hashtags present in both years, most frequent first, ties lexical."""
-        common = set(self.tables[year_a].vocab.index) & set(self.tables[year_b].vocab.index)
-        return sorted(common, key=lambda t: (-order_by.get(t, 0), t))
-
-
-@dataclass
 class DisplacementReport:
     years: list[int]
     hashtags: list[str]
@@ -85,11 +71,6 @@ def procrustes_align(source: np.ndarray, target: np.ndarray) -> AlignmentMap:
     return result
 
 
-def single_displacement(aligned_source_vec: np.ndarray, target_vec: np.ndarray) -> float:
-    """Cosine distance between a hashtag's aligned vector and its target-year vector."""
-    return cosine_distance(aligned_source_vec, target_vec)
-
-
 def overall_displacement(per_pair: list[float]) -> float:
     """Mean of a hashtag's consecutive-year displacements."""
     if not per_pair:
@@ -97,34 +78,38 @@ def overall_displacement(per_pair: list[float]) -> float:
     return float(np.mean(per_pair))
 
 
-def user_share_counts(corpus: Corpus, hashtag: str, year: int) -> Counter:
-    counts: Counter = Counter()
+def _yearly_user_counts(corpus: Corpus, year: int, tags: set[str]) -> dict[str, Counter]:
+    """Per-user share counts of each of the given hashtags in one year.
+
+    Users appear in each Counter in order of their first share that year.
+    """
+    per_tag: dict[str, Counter] = {}
     for post in corpus.posts_in_year(year):
-        if hashtag in post.hashtags:
-            counts[post.user] += 1
-    return counts
+        for tag in post.hashtags:
+            if tag in tags:
+                per_tag.setdefault(tag, Counter())[post.user] += 1
+    return per_tag
 
 
-def entropy_from_counts(counts, bits: bool = False) -> float:
+def entropy_from_counts(counts) -> float:
     values = np.array([c for c in counts if c > 0], dtype=np.float64)
     if values.sum() <= 0:
         raise ValueError("entropy undefined without shares")
     p = values / values.sum()
-    h = float(-(p * np.log(p)).sum())
-    return h / math.log(2) if bits else h
+    return float(-(p * np.log(p)).sum())
 
 
-def hashtag_entropy(corpus: Corpus, hashtag: str, year: int, bits: bool = False) -> float:
+def hashtag_entropy(corpus: Corpus, hashtag: str, year: int) -> float:
     """Entropy of the hashtag's share distribution across users in a year.
 
     p(u) is the fraction of the hashtag's shares that user u contributed;
-    natural log by default.  0 means a single sharer; ln(n) means n users
-    sharing uniformly.
+    natural log.  0 means a single sharer; ln(n) means n users sharing
+    uniformly.
     """
-    counts = user_share_counts(corpus, hashtag, year)
+    counts = _yearly_user_counts(corpus, year, {hashtag}).get(hashtag)
     if not counts:
         raise ValueError(f"hashtag {hashtag!r} unshared in {year}")
-    return entropy_from_counts(counts.values(), bits=bits)
+    return entropy_from_counts(counts.values())
 
 
 def pearson(x, y) -> float:
@@ -149,7 +134,8 @@ def yearly_sentences(corpus: Corpus, year: int) -> list[list[str]]:
     return [sorted(p.hashtags) for p in corpus.posts_in_year(year) if len(p.hashtags) >= 2]
 
 
-def train_yearly(corpus: Corpus, years: list[int], config: TrainConfig) -> YearlyEmbeddings:
+def train_yearly(corpus: Corpus, years: list[int],
+                 config: TrainConfig) -> dict[int, EmbeddingTable]:
     """One embedding table per year, all trained with the same config.
 
     The same seed is reused for every year: together with the per-token
@@ -162,7 +148,7 @@ def train_yearly(corpus: Corpus, years: list[int], config: TrainConfig) -> Yearl
         if not sentences:
             raise ValueError(f"no multi-hashtag posts in {year}")
         tables[year] = train(sentences, config)
-    return YearlyEmbeddings(tables=tables)
+    return tables
 
 
 def drift_analysis(
@@ -170,7 +156,6 @@ def drift_analysis(
     years: list[int],
     top_k: int = 1000,
     config: TrainConfig | None = None,
-    entropy_at_earlier_year: bool = True,
 ) -> DisplacementReport:
     """Full displacement pipeline over consecutive year pairs.
 
@@ -179,16 +164,16 @@ def drift_analysis(
     the corpus-wide top-k hashtags, per-year sharing entropies, and the
     displacement-entropy and displacement-frequency correlations.  Each
     (hashtag, year pair) contributes one correlation point, with entropy and
-    frequency read at the pair's earlier year by default.
+    frequency read at the pair's earlier year.
     """
     years = sorted(years)
     if len(years) < 2:
         raise ValueError("need at least 2 years")
     if config is None:
         config = TrainConfig()
-    yearly = train_yearly(corpus, years, config)
+    tables = train_yearly(corpus, years, config)
 
-    share_order = {t: c for t, c in corpus.share_counts().items()}
+    share_order = corpus.share_counts()
     focus = top_k_hashtags(corpus, top_k)
     focus_set = set(focus)
 
@@ -196,30 +181,25 @@ def drift_analysis(
     entropy: dict[tuple[str, int], float] = {}
     frequency: dict[tuple[str, int], int] = {}
 
-    yearly_user_counts: dict[int, dict[str, Counter]] = {}
     for year in years:
-        per_tag: dict[str, Counter] = {}
-        for post in corpus.posts_in_year(year):
-            for tag in post.hashtags:
-                if tag in focus_set:
-                    per_tag.setdefault(tag, Counter())[post.user] += 1
-        yearly_user_counts[year] = per_tag
-        for tag, counts in per_tag.items():
+        for tag, counts in _yearly_user_counts(corpus, year, focus_set).items():
             entropy[(tag, year)] = entropy_from_counts(counts.values())
             frequency[(tag, year)] = int(sum(counts.values()))
 
     for y_a, y_b in zip(years, years[1:]):
-        shared = yearly.shared_vocab(y_a, y_b, share_order)
+        tab_a, tab_b = tables[y_a], tables[y_b]
+        # hashtags in both years, most frequent first, ties lexical
+        shared = sorted(set(tab_a.vocab.index) & set(tab_b.vocab.index),
+                        key=lambda t: (-share_order.get(t, 0), t))
         if not shared:
             raise ValueError(f"no shared vocabulary between {y_a} and {y_b}")
-        tab_a, tab_b = yearly.tables[y_a], yearly.tables[y_b]
         src = np.stack([tab_a.vector(t) for t in shared], axis=1).astype(np.float64)
         dst = np.stack([tab_b.vector(t) for t in shared], axis=1).astype(np.float64)
         alignment = procrustes_align(src, dst)
         aligned = alignment.apply(src)
         for col, tag in enumerate(shared):
             if tag in focus_set:
-                single[tag][(y_a, y_b)] = single_displacement(aligned[:, col], dst[:, col])
+                single[tag][(y_a, y_b)] = cosine_distance(aligned[:, col], dst[:, col])
 
     overall = {
         tag: overall_displacement(list(pairs.values()))
@@ -227,18 +207,15 @@ def drift_analysis(
         if pairs
     }
 
-    ent_x, ent_y, freq_x, freq_y = [], [], [], []
+    ent_x, freq_x, disp_y = [], [], []
     for tag, pairs in single.items():
-        for (y_a, y_b), disp in pairs.items():
-            ref_year = y_a if entropy_at_earlier_year else y_b
-            if (tag, ref_year) in entropy:
-                ent_x.append(entropy[(tag, ref_year)])
-                ent_y.append(disp)
-            if (tag, ref_year) in frequency:
-                freq_x.append(frequency[(tag, ref_year)])
-                freq_y.append(disp)
-    ent_corr = pearson(ent_x, ent_y) if len(ent_x) >= 3 and len(set(ent_x)) > 1 else None
-    freq_corr = pearson(freq_x, freq_y) if len(freq_x) >= 3 and len(set(freq_x)) > 1 else None
+        for (y_a, _), disp in pairs.items():
+            if (tag, y_a) in entropy:  # entropy and frequency share their keys
+                ent_x.append(entropy[(tag, y_a)])
+                freq_x.append(frequency[(tag, y_a)])
+                disp_y.append(disp)
+    ent_corr = pearson(ent_x, disp_y) if len(ent_x) >= 3 and len(set(ent_x)) > 1 else None
+    freq_corr = pearson(freq_x, disp_y) if len(freq_x) >= 3 and len(set(freq_x)) > 1 else None
 
     return DisplacementReport(
         years=years,

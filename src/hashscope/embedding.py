@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-
-MAGIC = b"HSEM"
-FORMAT_VERSION = 1
 
 
 class VocabularyError(ValueError):
@@ -64,9 +59,7 @@ class TrainConfig:
     epochs: int = 5
     learning_rate: float = 0.025
     min_learning_rate: float = 1e-4
-    noise_power: float = 0.75
     min_count: int = 1
-    subsample: float = 0.0
     batch_size: int = 1024
     seed: int = 0
 
@@ -183,17 +176,6 @@ def _encode(sentences, vocab: Vocabulary) -> list[np.ndarray]:
     return out
 
 
-def _apply_subsampling(encoded, counts, threshold, rng):
-    total = counts.sum()
-    keep_p = np.minimum(1.0, np.sqrt(threshold * total / counts))
-    out = []
-    for sent in encoded:
-        kept = sent[rng.random(len(sent)) < keep_p[sent]]
-        if len(kept) >= 2:
-            out.append(kept)
-    return out
-
-
 def _skipgram_pairs(encoded: list[np.ndarray], window: int):
     """(center, context) index arrays for every in-window ordered pair."""
     by_len: dict[int, list[np.ndarray]] = {}
@@ -243,8 +225,9 @@ def _cbow_examples(encoded: list[np.ndarray], window: int):
     return np.concatenate(targets).astype(np.int32), np.concatenate(padded)
 
 
-def _noise_cdf(counts: np.ndarray, power: float) -> np.ndarray:
-    w = np.power(counts.astype(np.float64), power)
+def _noise_cdf(counts: np.ndarray) -> np.ndarray:
+    """Negative-sampling CDF over the unigram counts raised to the 3/4 power."""
+    w = np.power(counts.astype(np.float64), 0.75)
     cdf = np.cumsum(w)
     return cdf / cdf[-1]
 
@@ -344,14 +327,12 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     encoded = _encode(sentences, vocab)
-    if config.subsample > 0:
-        encoded = _apply_subsampling(encoded, vocab.counts, config.subsample, rng)
     if not encoded:
         raise VocabularyError("no sentences with >= 2 in-vocabulary tokens")
 
     w_in = init_vectors(vocab, config)
     w_out = np.zeros((len(vocab), config.dimension), dtype=np.float32)
-    noise_cdf = _noise_cdf(vocab.counts, config.noise_power)
+    noise_cdf = _noise_cdf(vocab.counts)
     k = config.negatives
 
     if config.mode == "skipgram":
@@ -445,55 +426,3 @@ def nearest_neighbors(table: EmbeddingTable, token: str, k: int) -> list[str]:
         if len(out) == k:
             break
     return out
-
-
-def save_table(table: EmbeddingTable, path: str | Path) -> None:
-    """Binary format: header, token strings with counts, float32 matrix."""
-    vec = np.ascontiguousarray(table.vectors, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IQI", FORMAT_VERSION, len(table.vocab), table.dimension))
-        for token, count in zip(table.vocab.tokens, table.vocab.counts):
-            raw = token.encode("utf-8")
-            fh.write(struct.pack("<IQ", len(raw), int(count)))
-            fh.write(raw)
-        fh.write(vec.tobytes())
-
-
-def load_table(path: str | Path) -> EmbeddingTable:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"not an embedding table file (magic {magic!r})")
-        version, n, d = struct.unpack("<IQI", fh.read(16))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported table version {version}")
-        tokens, counts = [], []
-        for _ in range(n):
-            length, count = struct.unpack("<IQ", fh.read(12))
-            tokens.append(fh.read(length).decode("utf-8"))
-            counts.append(count)
-        mat = np.frombuffer(fh.read(n * d * 4), dtype="<f4").reshape(n, d).copy()
-    vocab = Vocabulary(tokens=tokens, counts=np.array(counts, dtype=np.int64))
-    return EmbeddingTable(vocab=vocab, vectors=mat)
-
-
-def save_table_text(table: EmbeddingTable, path: str | Path) -> None:
-    """Plain-text interop format: token then d floats per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table.vocab)} {table.dimension}\n")
-        for i, token in enumerate(table.vocab.tokens):
-            floats = " ".join(f"{x:.8g}" for x in table.vectors[i])
-            fh.write(f"{token} {floats}\n")
-
-
-def load_table_text(path: str | Path) -> EmbeddingTable:
-    with open(path, encoding="utf-8") as fh:
-        n, d = (int(x) for x in fh.readline().split())
-        tokens, rows = [], []
-        for _ in range(n):
-            parts = fh.readline().rstrip("\n").split(" ")
-            tokens.append(parts[0])
-            rows.append([float(x) for x in parts[1: d + 1]])
-    vocab = Vocabulary(tokens=tokens, counts=np.ones(n, dtype=np.int64))
-    return EmbeddingTable(vocab=vocab, vectors=np.array(rows, dtype=np.float32))

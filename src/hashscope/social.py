@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .corpus import Corpus
 from .embedding import TrainConfig, cosine_distance, train
@@ -38,7 +37,6 @@ class WalkConfig:
     epochs: int = 5
     learning_rate: float = 0.05
     min_learning_rate: float = 1e-4
-    batch_size: int = 1024
     seed: int = 0
 
     def validate(self) -> None:
@@ -70,19 +68,6 @@ class BipartiteGraph:
         return np.array(
             [USER_PREFIX + u for u in self.users] + [TAG_PREFIX + h for h in self.hashtags]
         )
-
-    def degree(self, node: int) -> int:
-        return int(self.offsets[node + 1] - self.offsets[node])
-
-    def weight(self, user: str, hashtag: str) -> float:
-        """Edge weight between a user and a hashtag; 0 when absent."""
-        u = self.users.index(user)
-        h = len(self.users) + self.hashtags.index(hashtag)
-        lo, hi = self.offsets[u], self.offsets[u + 1]
-        for pos in range(lo, hi):
-            if self.neighbors[pos] == h:
-                return float(self.weights[pos])
-        return 0.0
 
     @property
     def total_weight(self) -> float:
@@ -215,7 +200,7 @@ def learn_profiles(walks: list[list[str]], config: WalkConfig) -> HashtagProfile
         epochs=config.epochs,
         learning_rate=config.learning_rate,
         min_learning_rate=config.min_learning_rate,
-        batch_size=config.batch_size,
+        batch_size=1024,
         min_count=1,
         seed=config.seed,
     )
@@ -226,32 +211,6 @@ def learn_profiles(walks: list[list[str]], config: WalkConfig) -> HashtagProfile
         if token.startswith(USER_PREFIX)
     }
     return HashtagProfile(vectors=vectors, dimension=config.dimension)
-
-
-@dataclass
-class ScoredPair:
-    user_a: str
-    user_b: str
-    distance: float
-    predicted_friend: bool
-
-
-def predict(
-    profiles: HashtagProfile,
-    pairs: list[tuple[str, str]],
-    threshold: float,
-) -> tuple[list[ScoredPair], list[tuple[str, str]]]:
-    """Label pairs as friends when profile cosine distance is strictly below
-    the threshold.  Pairs with a missing profile are skipped and returned.
-    """
-    scored, skipped = [], []
-    for a, b in pairs:
-        if a not in profiles or b not in profiles:
-            skipped.append((a, b))
-            continue
-        d = cosine_distance(profiles.vectors[a], profiles.vectors[b])
-        scored.append(ScoredPair(a, b, d, d < threshold))
-    return scored, skipped
 
 
 def baselines(corpus: Corpus, pair: tuple[str, str],
@@ -314,7 +273,10 @@ def auc(scores_pos, scores_neg) -> float:
     neg = np.asarray(scores_neg, dtype=np.float64)
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("both score lists must be non-empty")
-    ranks = rankdata(np.concatenate([pos, neg]))
+    # average ranks (1-based), ties sharing the mean of the ranks they span
+    _, inverse, counts = np.unique(np.concatenate([pos, neg]),
+                                   return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse]
     rank_sum = ranks[: len(pos)].sum()
     return float((rank_sum - len(pos) * (len(pos) + 1) / 2) / (len(pos) * len(neg)))
 

@@ -195,8 +195,6 @@ def silhouette(points: np.ndarray, assignment: np.ndarray) -> float:
     cluster_ids = np.unique(assignment)
     if len(cluster_ids) < 2:
         raise ValueError("silhouette requires at least 2 clusters")
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
     n = len(points)
     scores = np.zeros(n)
     masks = {c: assignment == c for c in cluster_ids}
@@ -205,9 +203,10 @@ def silhouette(points: np.ndarray, assignment: np.ndarray) -> float:
         own = assignment[i]
         if sizes[own] == 1:
             continue
-        a = dist[i, masks[own]].sum() / (sizes[own] - 1)
+        dist = np.sqrt(((points[i] - points) ** 2).sum(axis=1))
+        a = dist[masks[own]].sum() / (sizes[own] - 1)
         b = min(
-            dist[i, masks[c]].mean() for c in cluster_ids if c != own
+            dist[masks[c]].mean() for c in cluster_ids if c != own
         )
         scores[i] = (b - a) / max(a, b)
     return float(scores.mean())

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hashscope
 from hashscope.cli import main, parse_config_file
 from hashscope.corpus import Corpus, PostRecord, save_corpus, save_friendships
 from hashscope.reports import report_stats
@@ -231,3 +236,16 @@ class TestStatsReport:
         report = report_stats(three_post_corpus, top_k=5)
         assert report.top_hashtags[0][0] in ("sea", "sun")
         assert report.top_hashtags[0][1] == 2
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats takes most of the CLI's start-up time; no command needs it
+    src = str(Path(hashscope.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import hashscope.cli, sys; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -14,9 +14,8 @@ from hashscope.drift import (
     overall_displacement,
     pearson,
     procrustes_align,
-    single_displacement,
 )
-from hashscope.embedding import TrainConfig
+from hashscope.embedding import TrainConfig, cosine_distance
 from hashscope.synth import SyntheticSpec, generate_synthetic
 
 from conftest import ts
@@ -74,7 +73,7 @@ class TestProcrustes:
 class TestDisplacement:
     def test_identical_vectors_zero(self):
         v = np.array([0.3, -1.2, 0.7])
-        assert single_displacement(v, v) == pytest.approx(0.0, abs=1e-12)
+        assert cosine_distance(v, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_global_rotation_absorbed_by_alignment(self):
         rng = np.random.default_rng(4)
@@ -84,7 +83,7 @@ class TestDisplacement:
         alignment = procrustes_align(source, target)
         aligned = alignment.apply(source)
         for col in range(source.shape[1]):
-            assert single_displacement(aligned[:, col], target[:, col]) < 1e-6
+            assert cosine_distance(aligned[:, col], target[:, col]) < 1e-6
 
     def test_displacement_invariant_to_common_orthogonal_transform(self):
         rng = np.random.default_rng(5)
@@ -93,9 +92,9 @@ class TestDisplacement:
         q = random_orthogonal(6, rng)
         base = procrustes_align(source, target)
         rotated = procrustes_align(q @ source, target)
-        d1 = [single_displacement(base.apply(source)[:, i], target[:, i])
+        d1 = [cosine_distance(base.apply(source)[:, i], target[:, i])
               for i in range(25)]
-        d2 = [single_displacement(rotated.apply(q @ source)[:, i], target[:, i])
+        d2 = [cosine_distance(rotated.apply(q @ source)[:, i], target[:, i])
               for i in range(25)]
         assert np.allclose(d1, d2, atol=1e-9)
 
@@ -144,10 +143,6 @@ class TestHashtagEntropy:
             hashtag_entropy(corpus, "h", 2014)
         with pytest.raises(ValueError, match="unshared"):
             hashtag_entropy(corpus, "other", 2013)
-
-    def test_bits_flag(self):
-        corpus = corpus_with_shares({f"u{i}": 1 for i in range(4)})
-        assert hashtag_entropy(corpus, "h", 2013, bits=True) == pytest.approx(2.0)
 
     @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=20))
     @settings(max_examples=200, deadline=None)

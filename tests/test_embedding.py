@@ -11,11 +11,7 @@ from hashscope.embedding import (
     cbow_pair_loss,
     cosine_distance,
     init_vectors,
-    load_table,
-    load_table_text,
     nearest_neighbors,
-    save_table,
-    save_table_text,
     skipgram_pair_loss,
     train,
     _step_skipgram,
@@ -236,35 +232,6 @@ class TestNearestNeighbors:
         vocab = Vocabulary(tokens=tokens, counts=np.ones(4, dtype=np.int64))
         table = EmbeddingTable(vocab=vocab, vectors=vectors)
         assert nearest_neighbors(table, "q", 2) == ["twin1", "twin2"]
-
-
-class TestSerialization:
-    def _trained(self):
-        cfg = TrainConfig(mode="skipgram", dimension=12, window=3, epochs=2, seed=2)
-        return train(pair_corpus(50), cfg)
-
-    def test_binary_round_trip_exact(self, tmp_path):
-        table = self._trained()
-        path = tmp_path / "emb.bin"
-        save_table(table, path)
-        loaded = load_table(path)
-        assert loaded.vocab.tokens == table.vocab.tokens
-        assert list(loaded.vocab.counts) == list(table.vocab.counts)
-        assert np.array_equal(loaded.vectors, table.vectors)
-
-    def test_text_round_trip_approximate(self, tmp_path):
-        table = self._trained()
-        path = tmp_path / "emb.txt"
-        save_table_text(table, path)
-        loaded = load_table_text(path)
-        assert loaded.vocab.tokens == table.vocab.tokens
-        assert np.allclose(loaded.vectors, table.vectors, atol=1e-6)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"JUNKxxxx")
-        with pytest.raises(ValueError, match="magic"):
-            load_table(path)
 
 
 @pytest.fixture(scope="module")

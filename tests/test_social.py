@@ -8,14 +8,12 @@ from hashscope.corpus import Corpus, PostRecord
 from hashscope.embedding import TrainConfig, cosine_distance, init_vectors, build_vocab
 from hashscope.social import (
     GraphError,
-    HashtagProfile,
     WalkConfig,
     auc,
     baselines,
     build_graph,
     friendship_eval,
     learn_profiles,
-    predict,
     random_walks,
     sample_strangers,
 )
@@ -39,7 +37,10 @@ class TestBuildGraph:
     def test_edge_weight_is_share_count(self):
         corpus = posts_for({"u": {"a": 3}})
         graph = build_graph(corpus)
-        assert graph.weight("u", "a") == 3.0
+        u, a = 0, len(graph.users) + graph.hashtags.index("a")
+        lo, hi = graph.offsets[u], graph.offsets[u + 1]
+        assert list(graph.neighbors[lo:hi]) == [a]
+        assert list(graph.weights[lo:hi]) == [3.0]
 
     def test_isolated_user_excluded_but_reported(self):
         posts = [
@@ -176,40 +177,6 @@ class TestLearnProfiles:
                             context_radius=3, epochs=1, seed=1)
         profiles = learn_profiles(random_walks(graph, config), config)
         assert set(profiles.vectors) == set(graph.users)
-
-
-class TestPredict:
-    def _profiles(self):
-        vecs = {
-            "u": np.array([1.0, 0.0], dtype=np.float32),
-            "v": np.array([0.9, 0.1], dtype=np.float32),
-            "w": np.array([-1.0, 0.0], dtype=np.float32),
-        }
-        return HashtagProfile(vectors=vecs, dimension=2)
-
-    def test_threshold_two_marks_all_friends(self):
-        profiles = self._profiles()
-        scored, _ = predict(profiles, [("u", "v"), ("u", "w")], threshold=2.0 + 1e-9)
-        assert all(s.predicted_friend for s in scored)
-
-    def test_threshold_zero_marks_none(self):
-        profiles = self._profiles()
-        scored, _ = predict(profiles, [("u", "v"), ("u", "w")], threshold=0.0)
-        assert not any(s.predicted_friend for s in scored)
-
-    def test_missing_profile_skipped_and_reported(self):
-        profiles = self._profiles()
-        scored, skipped = predict(profiles, [("u", "ghost"), ("u", "v")], 1.0)
-        assert skipped == [("u", "ghost")]
-        assert len(scored) == 1
-
-    def test_raising_threshold_is_monotone(self):
-        profiles = self._profiles()
-        pairs = [("u", "v"), ("u", "w"), ("v", "w")]
-        low, _ = predict(profiles, pairs, threshold=0.5)
-        high, _ = predict(profiles, pairs, threshold=1.5)
-        for lo, hi in zip(low, high):
-            assert hi.predicted_friend or not lo.predicted_friend
 
 
 class TestBaselines:

@@ -23,7 +23,7 @@ from .corpus import (
     Corpus, CorpusFormatError, QuarterBucket, load_corpus,
     save_corpus, save_friendships, save_location_categories,
 )
-from .embedding import TrainConfig
+from .embedding import TrainConfig, TrainingDivergedError
 from .reports import render_stats, report_stats
 from .synth import SyntheticSpec, SynthesisError, generate_synthetic
 from . import drift as drift_mod
@@ -224,7 +224,8 @@ def _parse_years(cfg: dict, corpus: Corpus) -> list[int]:
 
 
 def write_manifest(out_dir: Path, command: str, cfg: dict, strict: bool,
-                   artifacts: list[str], started: float) -> None:
+                   artifacts: list[str], started: float,
+                   skipped: dict[str, str] | None = None) -> None:
     payload = {
         "command": command,
         "settings": {k: cfg[k] for k in sorted(cfg)},
@@ -237,6 +238,8 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, strict: bool,
         },
         "artifacts": sorted(artifacts),
     }
+    if skipped:
+        payload["skipped"] = skipped
     if not strict:
         payload["wall_time_s"] = round(time.time() - started, 3)
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -372,13 +375,15 @@ def cmd_all(args: argparse.Namespace) -> int:
         save_location_categories(corpus.location_categories,
                                  out_dir / "corpus.locations.csv")
         artifacts += ["corpus.jsonl", "corpus.friends.csv", "corpus.locations.csv"]
+    skipped: dict[str, str] = {}
     for name in ("stats", "temporal", "spatial", "drift", "social"):
         try:
             artifacts += PIPELINES[name](corpus, cfg, out_dir)
-        except ValueError as exc:
+        except (ValueError, ArithmeticError, TrainingDivergedError) as exc:
             print(f"{name}: skipped ({exc})", file=sys.stderr)
-    write_manifest(out_dir, "all", cfg, args.strict, artifacts, started)
-    return 0
+            skipped[name] = str(exc)
+    write_manifest(out_dir, "all", cfg, args.strict, artifacts, started, skipped)
+    return 1 if skipped else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -391,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_all(args)
         return cmd_pipeline(args)
     except (ValueError, FileNotFoundError, CorpusFormatError, SynthesisError,
-            ArithmeticError) as exc:
+            ArithmeticError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -114,6 +114,8 @@ class Corpus:
     users: set[str] = field(default_factory=set)
     friendships: set[tuple[str, str]] = field(default_factory=set)
     location_categories: dict[str, str] = field(default_factory=dict)
+    _share_counts: Counter | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         self.users = set(self.users) | {p.user for p in self.posts}
@@ -127,11 +129,17 @@ class Corpus:
         return out
 
     def share_counts(self) -> Counter:
-        """Total share count per hashtag (one per post occurrence)."""
-        counts: Counter = Counter()
-        for p in self.posts:
-            counts.update(p.hashtags)
-        return counts
+        """Total share count per hashtag (one per post occurrence).
+
+        Counted on the first call and cached, since posts do not change after
+        construction; each call returns a fresh copy of the cache.
+        """
+        if self._share_counts is None:
+            counts: Counter = Counter()
+            for p in self.posts:
+                counts.update(p.hashtags)
+            self._share_counts = counts
+        return self._share_counts.copy()
 
     def posts_in_year(self, year: int) -> list[PostRecord]:
         lo = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())

@@ -77,6 +77,8 @@ class EmbeddingTable:
     vocab: Vocabulary
     vectors: np.ndarray                     # |vocab| x d float32 input vectors
     output_vectors: np.ndarray | None = None  # training-side matrix
+    # frozen-sample loss per epoch: a fixed sample of the training examples
+    # with fixed negatives, not a held-out set
     heldout_loss: list[float] = field(default_factory=list)
 
     @property
@@ -235,16 +237,35 @@ def _noise_cdf(counts: np.ndarray) -> np.ndarray:
 def _scatter_add(matrix: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
     """matrix[rows] += grads with duplicate rows accumulated.
 
-    Sparse-matrix accumulation; much faster than np.add.at for the batch
-    sizes and vocabulary sizes used here.
+    A CSC operator with one entry per column needs no COO->CSR sort, and its
+    product adds each row's terms in input order, so the sums match a
+    sequential accumulation bit for bit.
     """
     if len(rows) == 0:
         return
     ones = np.ones(len(rows), dtype=np.float32)
-    s = sparse.csr_matrix(
-        (ones, (rows, np.arange(len(rows)))), shape=(len(matrix), len(rows))
+    s = sparse.csc_matrix(
+        (ones, rows, np.arange(len(rows) + 1)), shape=(len(matrix), len(rows))
     )
     matrix += s @ grads
+
+
+def _context_sum(ctx: np.ndarray, n_vocab: int):
+    """CSR operator summing each padded context row, and the clamped row counts.
+
+    Row b of ``A @ w_in`` adds the non-pad context vectors of ``ctx[b]`` in
+    column order; ``A.T @ g`` spreads row gradients back onto the vocabulary.
+    Repeated ids stay separate unit entries, never merged, so every sum adds
+    the same terms in the same order as a dense gather would.
+    """
+    mask = ctx >= 0
+    counts = mask.sum(axis=1)
+    indices = ctx[mask]
+    a = sparse.csr_matrix(
+        (np.ones(len(indices), dtype=np.float32), indices, np.r_[0, np.cumsum(counts)]),
+        shape=(len(ctx), n_vocab),
+    )
+    return a, np.maximum(counts, 1)
 
 
 def _heldout_loss_skipgram(w_in, w_out, centers, contexts, negs):
@@ -257,9 +278,8 @@ def _heldout_loss_skipgram(w_in, w_out, centers, contexts, negs):
 
 
 def _heldout_loss_cbow(w_in, w_out, targets, ctx, negs):
-    mask = ctx >= 0
-    gathered = w_in[np.clip(ctx, 0, None)] * mask[:, :, None]
-    h = gathered.sum(axis=1) / np.maximum(mask.sum(axis=1), 1)[:, None]
+    a, counts = _context_sum(ctx, len(w_in))
+    h = (a @ w_in) / counts[:, None]
     pos = np.einsum("bd,bd->b", h, w_out[targets])
     neg = np.einsum("bkd,bd->bk", w_out[negs], h)
     neg_mask = negs != targets[:, None]
@@ -287,18 +307,16 @@ def _step_skipgram(w_in, w_out, centers, contexts, negs, lr):
 
 def _step_cbow(w_in, w_out, targets, ctx, negs, lr):
     lr = np.float32(lr)
-    mask = ctx >= 0
-    counts = np.maximum(mask.sum(axis=1), 1).astype(np.float32)
-    gathered = w_in[np.clip(ctx, 0, None)] * mask[:, :, None]
-    h = gathered.sum(axis=1) / counts[:, None]
+    a, counts = _context_sum(ctx, len(w_in))
+    counts = counts.astype(np.float32)[:, None]
+    h = (a @ w_in) / counts
     wt = w_out[targets]
     wn = w_out[negs]
     g_pos = (_sigmoid(np.einsum("bd,bd->b", h, wt)) - 1.0).astype(np.float32)
     g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, h)).astype(np.float32)
     g_neg *= negs != targets[:, None]
     grad_h = g_pos[:, None] * wt + np.einsum("bk,bkd->bd", g_neg, wn)
-    grad_ctx = (grad_h / counts[:, None])[:, None, :] * mask[:, :, None]
-    _scatter_add(w_in, ctx[mask], -lr * grad_ctx[mask])
+    w_in += a.T @ (-lr * (grad_h / counts))
     out_rows = np.concatenate((targets, negs.ravel()))
     out_grads = np.concatenate((
         -lr * g_pos[:, None] * h,
@@ -314,8 +332,10 @@ def train(
 ) -> EmbeddingTable:
     """Train an embedding table over token sequences.
 
-    Deterministic for a fixed config seed.  Tracks a held-out co-occurrence
-    loss per epoch in the returned table (index 0 is the pre-training loss).
+    Deterministic for a fixed config seed.  Tracks a frozen-sample loss per
+    epoch in the returned table's ``heldout_loss`` (index 0 is the
+    pre-training loss): the sample is a fixed draw of training examples with
+    fixed negatives, so it measures fit, not generalization.
     Raises TrainingDivergedError if non-finite values appear.
     """
     config.validate()
@@ -342,7 +362,7 @@ def train(
         targets, ctx_matrix = _cbow_examples(encoded, config.window)
         n_examples = len(targets)
 
-    # frozen held-out sample: fixed example subset with fixed negatives
+    # frozen sample: fixed subset of the training examples with fixed negatives
     held_n = min(10000, n_examples)
     held_idx = rng.choice(n_examples, size=held_n, replace=False)
     held_negs = np.searchsorted(noise_cdf, rng.random((held_n, k))).astype(np.int32)
@@ -379,7 +399,7 @@ def train(
         loss = heldout()
         if not np.isfinite(loss):
             raise TrainingDivergedError(
-                f"non-finite held-out loss after epoch {epoch + 1}; "
+                f"non-finite frozen-sample loss after epoch {epoch + 1}; "
                 f"lr={config.learning_rate}, mode={config.mode}"
             )
         history.append(loss)

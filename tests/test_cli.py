@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import hashscope
+from hashscope import drift, social
 from hashscope.cli import main, parse_config_file
 from hashscope.corpus import Corpus, PostRecord, save_corpus, save_friendships
+from hashscope.embedding import TrainingDivergedError
 from hashscope.reports import report_stats
 from hashscope.synth import SyntheticSpec, generate_synthetic
 
@@ -17,6 +19,10 @@ from conftest import ts
 
 def run_cli(args):
     return main(args)
+
+
+def diverge(*args, **kwargs):
+    raise TrainingDivergedError("non-finite embedding values after epoch 1")
 
 
 def small_corpus_files(tmp_path, spec=None):
@@ -202,6 +208,56 @@ class TestAllCommand:
                      "spatial_propensity.csv", "drift_displacement.csv",
                      "social_summary.json", "manifest.json"):
             assert (out / name).exists(), name
+        assert "skipped" not in json.loads((out / "manifest.json").read_text())
+
+    FAST = ["--top-k", "100", "--k-max", "4", "--restarts", "2", "--dimension", "16",
+            "--epochs", "2", "--min-count", "3", "--walk-times", "4",
+            "--walk-length", "10", "--profile-dim", "16", "--social-epochs", "2"]
+
+    def test_skipped_pipeline_recorded_and_fails_run(self, tmp_path, capsys):
+        posts, friends, locations = small_corpus_files(tmp_path)
+        header_and_three_pairs = friends.read_text().splitlines()[:4]
+        friends.write_text("\n".join(header_and_three_pairs) + "\n")
+        out = tmp_path / "all"
+        code = run_cli(["all", "--input", str(posts), "--friends", str(friends),
+                        "--locations", str(locations), "--strict", "--out", str(out)]
+                       + self.FAST)
+        assert code == 1
+        assert "social: skipped (need at least 10 friend pairs" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["skipped"] == {"social": "need at least 10 friend pairs to evaluate"}
+        for name in ("stats.json", "temporal_clusters.csv", "spatial_propensity.csv",
+                     "drift_displacement.csv"):
+            assert (out / name).exists(), name
+            assert name in manifest["artifacts"]
+        assert not (out / "social_summary.json").exists()
+
+    def test_numeric_failures_skip_pipeline(self, tmp_path, monkeypatch, capsys):
+        def misalign(*args, **kwargs):
+            raise ArithmeticError("alignment not orthogonal: residual 1.000e+00")
+
+        monkeypatch.setattr(drift, "procrustes_align", misalign)
+        monkeypatch.setattr(social, "train", diverge)
+        posts, friends, locations = small_corpus_files(tmp_path)
+        out = tmp_path / "all"
+        code = run_cli(["all", "--input", str(posts), "--friends", str(friends),
+                        "--locations", str(locations), "--out", str(out)] + self.FAST)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "drift: skipped (alignment not orthogonal" in err
+        assert "social: skipped (non-finite" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["skipped"]) == ["drift", "social"]
+        assert (out / "spatial_propensity.csv").exists()
+
+    def test_diverged_training_is_an_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(social, "train", diverge)
+        posts, friends, _ = small_corpus_files(tmp_path)
+        code = run_cli(["social", "--input", str(posts), "--friends", str(friends),
+                        "--out", str(tmp_path / "out"), "--walk-times", "2",
+                        "--walk-length", "5"])
+        assert code == 1
+        assert "error: non-finite embedding values" in capsys.readouterr().err
 
 
 class TestStatsReport:

@@ -136,6 +136,34 @@ class TestLoadCorpus:
         assert load_location_categories(lp) == cats
 
 
+class CountingList(list):
+    def __init__(self, items):
+        super().__init__(items)
+        self.scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+class TestShareCounts:
+    def test_counts_each_occurrence(self, three_post_corpus):
+        assert three_post_corpus.share_counts() == {"sun": 2, "sea": 2, "ski": 1}
+
+    def test_second_call_does_not_rescan_posts(self, three_post_corpus):
+        three_post_corpus.posts = CountingList(three_post_corpus.posts)
+        first = three_post_corpus.share_counts()
+        second = three_post_corpus.share_counts()
+        assert three_post_corpus.posts.scans == 1
+        assert first == second
+
+    def test_callers_cannot_mutate_cache(self, three_post_corpus):
+        counts = three_post_corpus.share_counts()
+        counts["sun"] += 10
+        del counts["ski"]
+        assert three_post_corpus.share_counts() == {"sun": 2, "sea": 2, "ski": 1}
+
+
 class TestPostRecord:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hashscope import embedding
 from hashscope.embedding import (
     EmbeddingTable,
     TrainConfig,
@@ -14,6 +15,11 @@ from hashscope.embedding import (
     nearest_neighbors,
     skipgram_pair_loss,
     train,
+    _heldout_loss_cbow,
+    _log_sigmoid,
+    _scatter_add,
+    _sigmoid,
+    _step_cbow,
     _step_skipgram,
 )
 from hashscope.synth import SyntheticSpec, generate_synthetic
@@ -119,6 +125,113 @@ class TestGradients:
         _step_skipgram(w_in, w_out, centers, contexts, negs, lr)
         assert np.allclose(w_in, expect_in, atol=1e-6)
         assert np.allclose(w_out, expect_out, atol=1e-6)
+
+
+def dense_scatter_add(matrix, rows, grads):
+    tmp = np.zeros_like(matrix)
+    np.add.at(tmp, rows, grads)
+    matrix += tmp
+
+
+def dense_step_cbow(w_in, w_out, targets, ctx, negs, lr):
+    """The dense gather/mask/sum CBOW step the sparse operator replaced."""
+    lr = np.float32(lr)
+    mask = ctx >= 0
+    counts = np.maximum(mask.sum(axis=1), 1).astype(np.float32)
+    gathered = w_in[np.clip(ctx, 0, None)] * mask[:, :, None]
+    h = gathered.sum(axis=1) / counts[:, None]
+    wt = w_out[targets]
+    wn = w_out[negs]
+    g_pos = (_sigmoid(np.einsum("bd,bd->b", h, wt)) - 1.0).astype(np.float32)
+    g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, h)).astype(np.float32)
+    g_neg *= negs != targets[:, None]
+    grad_h = g_pos[:, None] * wt + np.einsum("bk,bkd->bd", g_neg, wn)
+    grad_ctx = (grad_h / counts[:, None])[:, None, :] * mask[:, :, None]
+    dense_scatter_add(w_in, ctx[mask], -lr * grad_ctx[mask])
+    out_rows = np.concatenate((targets, negs.ravel()))
+    out_grads = np.concatenate((
+        -lr * g_pos[:, None] * h,
+        (-lr * g_neg[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]),
+    ))
+    dense_scatter_add(w_out, out_rows, out_grads)
+
+
+def dense_heldout_loss_cbow(w_in, w_out, targets, ctx, negs):
+    mask = ctx >= 0
+    gathered = w_in[np.clip(ctx, 0, None)] * mask[:, :, None]
+    h = gathered.sum(axis=1) / np.maximum(mask.sum(axis=1), 1)[:, None]
+    pos = np.einsum("bd,bd->b", h, w_out[targets])
+    neg = np.einsum("bkd,bd->bk", w_out[negs], h)
+    neg_mask = negs != targets[:, None]
+    return float(-(_log_sigmoid(pos).sum() + (_log_sigmoid(-neg) * neg_mask).sum())
+                 / len(targets))
+
+
+def cbow_batch(rng, vocab, dim, batch, width, negatives=3):
+    """Random CBOW batch with ragged padding, repeated context ids in row 0
+    and an all-padding last row."""
+    w_in = rng.normal(0, 0.3, (vocab, dim)).astype(np.float32)
+    w_out = rng.normal(0, 0.3, (vocab, dim)).astype(np.float32)
+    targets = rng.integers(0, vocab, batch).astype(np.int32)
+    ctx = rng.integers(0, vocab, (batch, width)).astype(np.int32)
+    lengths = rng.integers(1, width + 1, batch)
+    ctx[np.arange(width)[None, :] >= lengths[:, None]] = -1
+    ctx[0, :] = -1
+    ctx[0, :3] = 1
+    ctx[-1, :] = -1
+    negs = rng.integers(0, vocab, (batch, negatives)).astype(np.int32)
+    return w_in, w_out, targets, ctx, negs
+
+
+# (vocab, dim, batch, context width): duplicate ids are certain at vocab 4,
+# batches of 3 and 7 are ragged against any power-of-two batch size
+SPARSE_SHAPES = [(4, 3, 7, 6), (50, 8, 3, 3), (485, 64, 257, 20), (30, 5, 64, 2)]
+
+
+class TestSparseOperatorsMatchDense:
+    """The sparse operators must add each row's terms in the order the dense
+    code did, so results are equal bit for bit, not just close."""
+
+    @pytest.mark.parametrize("shape", SPARSE_SHAPES)
+    def test_step_cbow(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        w_in, w_out, targets, ctx, negs = cbow_batch(rng, *shape)
+        exp_in, exp_out = w_in.copy(), w_out.copy()
+        dense_step_cbow(exp_in, exp_out, targets, ctx, negs, 0.3)
+        before = w_in.copy()
+        _step_cbow(w_in, w_out, targets, ctx, negs, 0.3)
+        assert not np.array_equal(w_in, before)
+        assert np.array_equal(w_in, exp_in)
+        assert np.array_equal(w_out, exp_out)
+
+    @pytest.mark.parametrize("shape", SPARSE_SHAPES)
+    def test_heldout_loss_cbow(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        batch = cbow_batch(rng, *shape)
+        assert _heldout_loss_cbow(*batch) == dense_heldout_loss_cbow(*batch)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 9, 3000])
+    def test_scatter_add_with_duplicate_rows(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        matrix = rng.normal(0, 1, (11, 6)).astype(np.float32)
+        rows = rng.integers(0, 11, n_rows)
+        grads = rng.normal(0, 1, (n_rows, 6)).astype(np.float32)
+        expected = matrix.copy()
+        dense_scatter_add(expected, rows, grads)
+        _scatter_add(matrix, rows, grads)
+        assert np.array_equal(matrix, expected)
+
+    def test_cbow_training_matches_dense(self, monkeypatch):
+        cfg = TrainConfig(mode="cbow", dimension=8, window=3, epochs=2,
+                          batch_size=64, seed=4)
+        sentences = [["a", "b", "a", "c", "d"], ["b", "c"], ["d", "a", "e", "b"]] * 30
+        sparse_table = train(sentences, cfg)
+        monkeypatch.setattr(embedding, "_step_cbow", dense_step_cbow)
+        monkeypatch.setattr(embedding, "_heldout_loss_cbow", dense_heldout_loss_cbow)
+        dense_table = train(sentences, cfg)
+        assert np.array_equal(sparse_table.vectors, dense_table.vectors)
+        assert np.array_equal(sparse_table.output_vectors, dense_table.output_vectors)
+        assert sparse_table.heldout_loss == dense_table.heldout_loss
 
 
 class TestTrain:

@@ -116,6 +116,8 @@ class Corpus:
     location_categories: dict[str, str] = field(default_factory=dict)
     _share_counts: Counter | None = field(default=None, init=False, repr=False,
                                           compare=False)
+    _year_posts: dict[int, list[PostRecord]] = field(default_factory=dict, init=False,
+                                                     repr=False, compare=False)
 
     def __post_init__(self):
         self.users = set(self.users) | {p.user for p in self.posts}
@@ -142,9 +144,16 @@ class Corpus:
         return self._share_counts.copy()
 
     def posts_in_year(self, year: int) -> list[PostRecord]:
-        lo = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
-        hi = int(datetime(year + 1, 1, 1, tzinfo=timezone.utc).timestamp())
-        return [p for p in self.posts if lo <= p.time < hi]
+        """Posts of one UTC calendar year, in corpus order.
+
+        Selected on the first call for each year and cached like
+        ``share_counts``; each call returns a new list.
+        """
+        if year not in self._year_posts:
+            lo = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
+            hi = int(datetime(year + 1, 1, 1, tzinfo=timezone.utc).timestamp())
+            self._year_posts[year] = [p for p in self.posts if lo <= p.time < hi]
+        return list(self._year_posts[year])
 
 
 def _parse_time(value, line: int) -> int:

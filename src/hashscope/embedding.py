@@ -1,6 +1,9 @@
 """Shallow embedding trainer: skip-gram and CBOW with negative sampling.
 
 Token sequences go in, a vocabulary-indexed dense vector table comes out.
+Both modes share one example layout, step and loss: a skip-gram pair is a
+CBOW example whose context is the single center token, and its one-entry
+context sum is that token's vector exactly.
 Training is mini-batched numpy SGD: gradients within a batch are computed at
 the batch's starting parameters, and scatter-adds apply every pair's update,
 so results are bit-reproducible for a fixed seed.  Input vectors are
@@ -70,6 +73,9 @@ class TrainConfig:
             raise ValueError("dimension, negatives, and window must all be >= 1")
         if self.epochs < 1 or self.batch_size < 1 or self.min_count < 1:
             raise ValueError("epochs, batch_size, and min_count must all be >= 1")
+        for rate in (self.learning_rate, self.min_learning_rate):
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"learning rates must be finite and >= 0, got {rate}")
 
 
 @dataclass
@@ -178,29 +184,6 @@ def _encode(sentences, vocab: Vocabulary) -> list[np.ndarray]:
     return out
 
 
-def _skipgram_pairs(encoded: list[np.ndarray], window: int):
-    """(center, context) index arrays for every in-window ordered pair."""
-    by_len: dict[int, list[np.ndarray]] = {}
-    for sent in encoded:
-        by_len.setdefault(len(sent), []).append(sent)
-    centers, contexts = [], []
-    for length in sorted(by_len):
-        mat = np.stack(by_len[length])
-        ci, oi = [], []
-        for i in range(length):
-            for j in range(max(0, i - window), min(length, i + window + 1)):
-                if j != i:
-                    ci.append(i)
-                    oi.append(j)
-        if not ci:
-            continue
-        centers.append(mat[:, ci].ravel())
-        contexts.append(mat[:, oi].ravel())
-    if not centers:
-        raise VocabularyError("no co-occurring token pairs to train on")
-    return np.concatenate(centers), np.concatenate(contexts)
-
-
 def _cbow_examples(encoded: list[np.ndarray], window: int):
     """(target, padded context matrix) for every position; pad index is -1."""
     by_len: dict[int, list[np.ndarray]] = {}
@@ -227,6 +210,15 @@ def _cbow_examples(encoded: list[np.ndarray], window: int):
     return np.concatenate(targets).astype(np.int32), np.concatenate(padded)
 
 
+def _skipgram_examples(encoded: list[np.ndarray], window: int):
+    """Skip-gram pairs as one-token-context CBOW examples: each in-window
+    neighbour is a target whose only context is its center token.  Rows run
+    in (sentence, position, neighbour) order."""
+    centers, ctx = _cbow_examples(encoded, window)
+    mask = ctx >= 0
+    return ctx[mask], np.repeat(centers, mask.sum(axis=1))[:, None]
+
+
 def _noise_cdf(counts: np.ndarray) -> np.ndarray:
     """Negative-sampling CDF over the unigram counts raised to the 3/4 power."""
     w = np.power(counts.astype(np.float64), 0.75)
@@ -251,7 +243,8 @@ def _scatter_add(matrix: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> Non
 
 
 def _context_sum(ctx: np.ndarray, n_vocab: int):
-    """CSR operator summing each padded context row, and the clamped row counts.
+    """CSR operator summing each padded context row, and the clamped row
+    counts as float32.
 
     Row b of ``A @ w_in`` adds the non-pad context vectors of ``ctx[b]`` in
     column order; ``A.T @ g`` spreads row gradients back onto the vocabulary.
@@ -265,19 +258,10 @@ def _context_sum(ctx: np.ndarray, n_vocab: int):
         (np.ones(len(indices), dtype=np.float32), indices, np.r_[0, np.cumsum(counts)]),
         shape=(len(ctx), n_vocab),
     )
-    return a, np.maximum(counts, 1)
+    return a, np.maximum(counts, 1).astype(np.float32)
 
 
-def _heldout_loss_skipgram(w_in, w_out, centers, contexts, negs):
-    vc = w_in[centers]
-    pos = np.einsum("bd,bd->b", vc, w_out[contexts])
-    neg = np.einsum("bkd,bd->bk", w_out[negs], vc)
-    neg_mask = negs != contexts[:, None]
-    return float(-(_log_sigmoid(pos).sum() + (_log_sigmoid(-neg) * neg_mask).sum())
-                 / len(centers))
-
-
-def _heldout_loss_cbow(w_in, w_out, targets, ctx, negs):
+def _frozen_sample_loss(w_in, w_out, targets, ctx, negs):
     a, counts = _context_sum(ctx, len(w_in))
     h = (a @ w_in) / counts[:, None]
     pos = np.einsum("bd,bd->b", h, w_out[targets])
@@ -287,42 +271,26 @@ def _heldout_loss_cbow(w_in, w_out, targets, ctx, negs):
                  / len(targets))
 
 
-def _step_skipgram(w_in, w_out, centers, contexts, negs, lr):
-    lr = np.float32(lr)
-    vc = w_in[centers]
-    wo = w_out[contexts]
-    wn = w_out[negs]
-    g_pos = (_sigmoid(np.einsum("bd,bd->b", vc, wo)) - 1.0).astype(np.float32)  # B
-    g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, vc)).astype(np.float32)        # B x K
-    g_neg *= negs != contexts[:, None]
-    grad_c = g_pos[:, None] * wo + np.einsum("bk,bkd->bd", g_neg, wn)
-    _scatter_add(w_in, centers, -lr * grad_c)
-    out_rows = np.concatenate((contexts, negs.ravel()))
-    out_grads = np.concatenate((
-        -lr * g_pos[:, None] * vc,
-        (-lr * g_neg[:, :, None] * vc[:, None, :]).reshape(-1, vc.shape[1]),
-    ))
-    _scatter_add(w_out, out_rows, out_grads)
-
-
-def _step_cbow(w_in, w_out, targets, ctx, negs, lr):
+def _step(w_in, w_out, targets, ctx, negs, lr):
     lr = np.float32(lr)
     a, counts = _context_sum(ctx, len(w_in))
-    counts = counts.astype(np.float32)[:, None]
-    h = (a @ w_in) / counts
+    h = a @ w_in
+    h /= counts[:, None]
     wt = w_out[targets]
     wn = w_out[negs]
     g_pos = (_sigmoid(np.einsum("bd,bd->b", h, wt)) - 1.0).astype(np.float32)
     g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, h)).astype(np.float32)
     g_neg *= negs != targets[:, None]
     grad_h = g_pos[:, None] * wt + np.einsum("bk,bkd->bd", g_neg, wn)
-    w_in += a.T @ (-lr * (grad_h / counts))
-    out_rows = np.concatenate((targets, negs.ravel()))
-    out_grads = np.concatenate((
-        -lr * g_pos[:, None] * h,
-        (-lr * g_neg[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]),
-    ))
-    _scatter_add(w_out, out_rows, out_grads)
+    grad_h /= counts[:, None]
+    grad_h *= -lr
+    w_in += a.T @ grad_h
+    # output-side rows: every target, then every negative, in one buffer
+    (b, d), k = h.shape, negs.shape[1]
+    out_grads = np.empty((b * (1 + k), d), dtype=np.float32)
+    np.multiply(-lr * g_pos[:, None], h, out=out_grads[:b])
+    np.multiply(-lr * g_neg[:, :, None], h[:, None, :], out=out_grads[b:].reshape(b, k, d))
+    _scatter_add(w_out, np.concatenate((targets, negs.ravel())), out_grads)
 
 
 def train(
@@ -355,26 +323,17 @@ def train(
     noise_cdf = _noise_cdf(vocab.counts)
     k = config.negatives
 
-    if config.mode == "skipgram":
-        centers, contexts = _skipgram_pairs(encoded, config.window)
-        n_examples = len(centers)
-    else:
-        targets, ctx_matrix = _cbow_examples(encoded, config.window)
-        n_examples = len(targets)
+    examples = _skipgram_examples if config.mode == "skipgram" else _cbow_examples
+    targets, ctx_matrix = examples(encoded, config.window)
+    n_examples = len(targets)
 
     # frozen sample: fixed subset of the training examples with fixed negatives
     held_n = min(10000, n_examples)
     held_idx = rng.choice(n_examples, size=held_n, replace=False)
     held_negs = np.searchsorted(noise_cdf, rng.random((held_n, k))).astype(np.int32)
+    held = (targets[held_idx], ctx_matrix[held_idx], held_negs)
 
-    def heldout() -> float:
-        if config.mode == "skipgram":
-            return _heldout_loss_skipgram(
-                w_in, w_out, centers[held_idx], contexts[held_idx], held_negs)
-        return _heldout_loss_cbow(
-            w_in, w_out, targets[held_idx], ctx_matrix[held_idx], held_negs)
-
-    history = [heldout()]
+    history = [_frozen_sample_loss(w_in, w_out, *held)]
     batches_per_epoch = math.ceil(n_examples / config.batch_size)
     total_steps = max(config.epochs * batches_per_epoch, 1)
     step = 0
@@ -386,21 +345,18 @@ def train(
                 config.min_learning_rate - config.learning_rate
             ) * (step / total_steps)
             negs = np.searchsorted(noise_cdf, rng.random((len(sel), k))).astype(np.int32)
-            if config.mode == "skipgram":
-                _step_skipgram(w_in, w_out, centers[sel], contexts[sel], negs, lr)
-            else:
-                _step_cbow(w_in, w_out, targets[sel], ctx_matrix[sel], negs, lr)
+            _step(w_in, w_out, targets[sel], ctx_matrix[sel], negs, lr)
             step += 1
         if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
             raise TrainingDivergedError(
                 f"non-finite embedding values after epoch {epoch + 1}; "
-                f"lr={config.learning_rate}, mode={config.mode}"
+                f"lr={config.learning_rate}"
             )
-        loss = heldout()
+        loss = _frozen_sample_loss(w_in, w_out, *held)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite frozen-sample loss after epoch {epoch + 1}; "
-                f"lr={config.learning_rate}, mode={config.mode}"
+                f"lr={config.learning_rate}"
             )
         history.append(loss)
 

@@ -32,6 +32,8 @@ def category_propensity(corpus: Corpus, categories_top_n: int | None = None) -> 
     top-n by visit count (all categories when n is None), ordered by
     descending visits with lexical tie-break.
     """
+    if categories_top_n is not None and categories_top_n < 1:
+        raise ValueError(f"categories_top_n must be >= 1, got {categories_top_n}")
     visits: dict[str, int] = {}
     instances: dict[str, int] = {}
     for post in corpus.posts:

@@ -227,6 +227,8 @@ def select_k(
         raise ValueError("empty k range")
     if any(k < 2 or k > 10 for k in ks):
         raise ValueError(f"k range must lie within [2, 10], got {ks}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     pts = standardize(points)
     if names is None:
         names = [str(i) for i in range(len(pts))]

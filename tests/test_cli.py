@@ -179,6 +179,21 @@ class TestPipelineCommands:
         summary = json.loads((out / "social_summary.json").read_text())
         assert set(summary["auc"]) == {"profile", "common", "jaccard", "preferential"}
 
+    @pytest.mark.parametrize("command,flags,message", [
+        ("temporal", ["--top-k", "80", "--restarts", "0"], "restarts must be >= 1"),
+        ("spatial", ["--categories-top-n", "0"], "categories_top_n must be >= 1"),
+        ("spatial", ["--categories-top-n", "-1"], "categories_top_n must be >= 1"),
+        ("drift", ["--learning-rate", "-0.01", "--dimension", "8", "--epochs", "1"],
+         "learning rates must be finite and >= 0"),
+    ])
+    def test_out_of_range_setting_is_an_error(self, tmp_path, capsys,
+                                              command, flags, message):
+        posts, _, locations = small_corpus_files(tmp_path)
+        code = run_cli([command, "--input", str(posts), "--locations", str(locations),
+                        "--out", str(tmp_path / "out")] + flags)
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_outputs_confined_to_out_dir(self, tmp_path):
         posts, friends, _ = small_corpus_files(tmp_path)
         out = tmp_path / "only_here"
@@ -231,6 +246,23 @@ class TestAllCommand:
             assert (out / name).exists(), name
             assert name in manifest["artifacts"]
         assert not (out / "social_summary.json").exists()
+
+    def test_zero_restarts_skips_temporal(self, tmp_path, capsys):
+        posts, friends, locations = small_corpus_files(tmp_path)
+        out = tmp_path / "all"
+        # the later --restarts overrides the one in FAST
+        code = run_cli(["all", "--input", str(posts), "--friends", str(friends),
+                        "--locations", str(locations), "--strict", "--out", str(out)]
+                       + self.FAST + ["--restarts", "0"])
+        assert code == 1
+        assert "temporal: skipped (restarts must be >= 1" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["skipped"] == {"temporal": "restarts must be >= 1, got 0"}
+        for name in ("stats.json", "spatial_propensity.csv", "drift_displacement.csv",
+                     "social_summary.json"):
+            assert (out / name).exists(), name
+            assert name in manifest["artifacts"]
+        assert not (out / "temporal_clusters.csv").exists()
 
     def test_numeric_failures_skip_pipeline(self, tmp_path, monkeypatch, capsys):
         def misalign(*args, **kwargs):

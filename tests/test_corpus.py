@@ -164,6 +164,27 @@ class TestShareCounts:
         assert three_post_corpus.share_counts() == {"sun": 2, "sea": 2, "ski": 1}
 
 
+class TestPostsInYear:
+    def test_selects_one_calendar_year_in_order(self, three_post_corpus):
+        posts = three_post_corpus.posts
+        assert three_post_corpus.posts_in_year(2012) == posts[:2]
+        assert three_post_corpus.posts_in_year(2013) == posts[2:]
+        assert three_post_corpus.posts_in_year(2014) == []
+
+    def test_second_call_does_not_rescan_posts(self, three_post_corpus):
+        three_post_corpus.posts = CountingList(three_post_corpus.posts)
+        first = three_post_corpus.posts_in_year(2012)
+        second = three_post_corpus.posts_in_year(2012)
+        assert three_post_corpus.posts.scans == 1
+        assert first == second
+        three_post_corpus.posts_in_year(2013)
+        assert three_post_corpus.posts.scans == 2
+
+    def test_callers_cannot_mutate_cache(self, three_post_corpus):
+        three_post_corpus.posts_in_year(2012).clear()
+        assert len(three_post_corpus.posts_in_year(2012)) == 2
+
+
 class TestPostRecord:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):

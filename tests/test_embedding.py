@@ -15,12 +15,13 @@ from hashscope.embedding import (
     nearest_neighbors,
     skipgram_pair_loss,
     train,
-    _heldout_loss_cbow,
+    _encode,
+    _frozen_sample_loss,
     _log_sigmoid,
     _scatter_add,
     _sigmoid,
-    _step_cbow,
-    _step_skipgram,
+    _skipgram_examples,
+    _step,
 )
 from hashscope.synth import SyntheticSpec, generate_synthetic
 
@@ -122,7 +123,7 @@ class TestGradients:
         expect_in[0] -= lr * g_c
         expect_out[1] -= lr * g_o
         expect_out[[2, 3]] -= lr * g_n
-        _step_skipgram(w_in, w_out, centers, contexts, negs, lr)
+        _step(w_in, w_out, contexts, centers[:, None], negs, lr)
         assert np.allclose(w_in, expect_in, atol=1e-6)
         assert np.allclose(w_out, expect_out, atol=1e-6)
 
@@ -159,7 +160,8 @@ def dense_step_cbow(w_in, w_out, targets, ctx, negs, lr):
 def dense_heldout_loss_cbow(w_in, w_out, targets, ctx, negs):
     mask = ctx >= 0
     gathered = w_in[np.clip(ctx, 0, None)] * mask[:, :, None]
-    h = gathered.sum(axis=1) / np.maximum(mask.sum(axis=1), 1)[:, None]
+    counts = np.maximum(mask.sum(axis=1), 1).astype(np.float32)
+    h = gathered.sum(axis=1) / counts[:, None]
     pos = np.einsum("bd,bd->b", h, w_out[targets])
     neg = np.einsum("bkd,bd->bk", w_out[negs], h)
     neg_mask = negs != targets[:, None]
@@ -199,7 +201,7 @@ class TestSparseOperatorsMatchDense:
         exp_in, exp_out = w_in.copy(), w_out.copy()
         dense_step_cbow(exp_in, exp_out, targets, ctx, negs, 0.3)
         before = w_in.copy()
-        _step_cbow(w_in, w_out, targets, ctx, negs, 0.3)
+        _step(w_in, w_out, targets, ctx, negs, 0.3)
         assert not np.array_equal(w_in, before)
         assert np.array_equal(w_in, exp_in)
         assert np.array_equal(w_out, exp_out)
@@ -208,7 +210,7 @@ class TestSparseOperatorsMatchDense:
     def test_heldout_loss_cbow(self, shape):
         rng = np.random.default_rng(sum(shape) + 1)
         batch = cbow_batch(rng, *shape)
-        assert _heldout_loss_cbow(*batch) == dense_heldout_loss_cbow(*batch)
+        assert _frozen_sample_loss(*batch) == dense_heldout_loss_cbow(*batch)
 
     @pytest.mark.parametrize("n_rows", [0, 1, 9, 3000])
     def test_scatter_add_with_duplicate_rows(self, n_rows):
@@ -226,12 +228,132 @@ class TestSparseOperatorsMatchDense:
                           batch_size=64, seed=4)
         sentences = [["a", "b", "a", "c", "d"], ["b", "c"], ["d", "a", "e", "b"]] * 30
         sparse_table = train(sentences, cfg)
-        monkeypatch.setattr(embedding, "_step_cbow", dense_step_cbow)
-        monkeypatch.setattr(embedding, "_heldout_loss_cbow", dense_heldout_loss_cbow)
+        monkeypatch.setattr(embedding, "_step", dense_step_cbow)
+        monkeypatch.setattr(embedding, "_frozen_sample_loss", dense_heldout_loss_cbow)
         dense_table = train(sentences, cfg)
         assert np.array_equal(sparse_table.vectors, dense_table.vectors)
         assert np.array_equal(sparse_table.output_vectors, dense_table.output_vectors)
         assert sparse_table.heldout_loss == dense_table.heldout_loss
+
+
+def ref_skipgram_pairs(encoded, window):
+    """The separate skip-gram pair builder that one-token-context CBOW
+    examples replaced: (center, context) for every in-window ordered pair."""
+    by_len = {}
+    for sent in encoded:
+        by_len.setdefault(len(sent), []).append(sent)
+    centers, contexts = [], []
+    for length in sorted(by_len):
+        mat = np.stack(by_len[length])
+        ci, oi = [], []
+        for i in range(length):
+            for j in range(max(0, i - window), min(length, i + window + 1)):
+                if j != i:
+                    ci.append(i)
+                    oi.append(j)
+        centers.append(mat[:, ci].ravel())
+        contexts.append(mat[:, oi].ravel())
+    return np.concatenate(centers), np.concatenate(contexts)
+
+
+def ref_step_skipgram(w_in, w_out, centers, contexts, negs, lr):
+    """The separate skip-gram step the shared step replaced."""
+    lr = np.float32(lr)
+    vc = w_in[centers]
+    wo = w_out[contexts]
+    wn = w_out[negs]
+    g_pos = (_sigmoid(np.einsum("bd,bd->b", vc, wo)) - 1.0).astype(np.float32)
+    g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, vc)).astype(np.float32)
+    g_neg *= negs != contexts[:, None]
+    grad_c = g_pos[:, None] * wo + np.einsum("bk,bkd->bd", g_neg, wn)
+    dense_scatter_add(w_in, centers, -lr * grad_c)
+    out_rows = np.concatenate((contexts, negs.ravel()))
+    out_grads = np.concatenate((
+        -lr * g_pos[:, None] * vc,
+        (-lr * g_neg[:, :, None] * vc[:, None, :]).reshape(-1, vc.shape[1]),
+    ))
+    dense_scatter_add(w_out, out_rows, out_grads)
+
+
+def ref_heldout_loss_skipgram(w_in, w_out, centers, contexts, negs):
+    vc = w_in[centers]
+    pos = np.einsum("bd,bd->b", vc, w_out[contexts])
+    neg = np.einsum("bkd,bd->bk", w_out[negs], vc)
+    neg_mask = negs != contexts[:, None]
+    return float(-(_log_sigmoid(pos).sum() + (_log_sigmoid(-neg) * neg_mask).sum())
+                 / len(centers))
+
+
+# window 2, so 2*window+1 = 5: lengths on both sides, ragged groups, and
+# sentences that repeat a token
+SKIPGRAM_SENTENCES = [
+    [["a", "b"], ["c", "d", "e"], ["a", "c", "e", "g"], ["b", "d", "f", "h", "a"],
+     ["h", "g", "f", "e", "d", "c"], ["a", "b", "c", "d", "e", "f", "g", "h", "a"]],
+    [["a", "a"], ["b", "a", "b", "a", "b", "a", "b"], ["c", "c", "c"]],
+    [["a", "b", "c", "d", "e", "f", "g", "h"][: 2 + i % 7] for i in range(40)],
+]
+
+
+def skipgram_batch(rng, vocab, dim, batch, negatives=3):
+    w_in = rng.normal(0, 0.3, (vocab, dim)).astype(np.float32)
+    w_out = rng.normal(0, 0.3, (vocab, dim)).astype(np.float32)
+    centers = rng.integers(0, vocab, batch).astype(np.int32)
+    contexts = rng.integers(0, vocab, batch).astype(np.int32)
+    negs = rng.integers(0, vocab, (batch, negatives)).astype(np.int32)
+    return w_in, w_out, centers, contexts, negs
+
+
+class TestSkipgramAsWidthOneCbow:
+    """Skip-gram runs through the CBOW layout, step and loss with one
+    context token per example; results must equal the separate skip-gram
+    code bit for bit."""
+
+    @pytest.mark.parametrize("sentences", SKIPGRAM_SENTENCES)
+    def test_examples_match_pairs(self, sentences):
+        vocab = build_vocab(sentences)
+        encoded = _encode(sentences, vocab)
+        centers, contexts = ref_skipgram_pairs(encoded, window=2)
+        targets, ctx = _skipgram_examples(encoded, window=2)
+        assert ctx.shape == (len(centers), 1)
+        assert np.array_equal(ctx[:, 0], centers)
+        assert np.array_equal(targets, contexts)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 7), (50, 8, 3), (485, 100, 257)])
+    def test_width_one_step_matches_skipgram_step(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        w_in, w_out, centers, contexts, negs = skipgram_batch(rng, *shape)
+        exp_in, exp_out = w_in.copy(), w_out.copy()
+        ref_step_skipgram(exp_in, exp_out, centers, contexts, negs, 0.3)
+        _step(w_in, w_out, contexts, centers[:, None], negs, 0.3)
+        assert np.array_equal(w_in, exp_in)
+        assert np.array_equal(w_out, exp_out)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 7), (485, 100, 257)])
+    def test_width_one_loss_matches_skipgram_loss(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        w_in, w_out, centers, contexts, negs = skipgram_batch(rng, *shape)
+        assert (_frozen_sample_loss(w_in, w_out, contexts, centers[:, None], negs)
+                == ref_heldout_loss_skipgram(w_in, w_out, centers, contexts, negs))
+
+    def test_skipgram_training_matches_reference(self, monkeypatch):
+        cfg = TrainConfig(mode="skipgram", dimension=8, window=2, epochs=2,
+                          batch_size=64, seed=4)
+        sentences = SKIPGRAM_SENTENCES[0] * 20
+        table = train(sentences, cfg)
+
+        def pairs(encoded, window):
+            centers, contexts = ref_skipgram_pairs(encoded, window)
+            return contexts, centers[:, None]
+
+        monkeypatch.setattr(embedding, "_skipgram_examples", pairs)
+        monkeypatch.setattr(embedding, "_step", lambda w_in, w_out, t, c, n, lr:
+                            ref_step_skipgram(w_in, w_out, c[:, 0], t, n, lr))
+        monkeypatch.setattr(embedding, "_frozen_sample_loss", lambda w_in, w_out, t, c, n:
+                            ref_heldout_loss_skipgram(w_in, w_out, c[:, 0], t, n))
+        ref = train(sentences, cfg)
+        assert np.array_equal(table.vectors, ref.vectors)
+        assert np.array_equal(table.output_vectors, ref.output_vectors)
+        assert table.heldout_loss == ref.heldout_loss
 
 
 class TestTrain:
@@ -285,6 +407,14 @@ class TestTrain:
             TrainConfig(mode="glove").validate()
         with pytest.raises(ValueError):
             TrainConfig(negatives=0).validate()
+
+    @pytest.mark.parametrize("rates", [
+        {"learning_rate": -0.01}, {"min_learning_rate": -1e-4},
+        {"learning_rate": float("nan")}, {"min_learning_rate": float("inf")},
+    ])
+    def test_negative_or_nonfinite_learning_rate_rejected(self, rates):
+        with pytest.raises(ValueError, match="learning rates"):
+            TrainConfig(**rates).validate()
 
 
 class TestCosineDistance:

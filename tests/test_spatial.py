@@ -86,6 +86,12 @@ class TestCategoryPropensity:
         with pytest.raises(ValueError, match="no hashtags"):
             category_propensity(corpus_with(posts, {"l1": "park"}))
 
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_nonpositive_top_n_rejected(self, top_n):
+        posts = [post("u", ["a"], "l1"), post("u", ["b"], "l2")]
+        with pytest.raises(ValueError, match="categories_top_n must be >= 1"):
+            category_propensity(corpus_with(posts, {"l1": "park", "l2": "bar"}), top_n)
+
     def test_ranked_by_visits_with_lexical_ties(self):
         posts = [
             post("u", ["a"], "l1", ts(2013)),

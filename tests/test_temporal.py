@@ -181,6 +181,11 @@ class TestSelectK:
         with pytest.raises(ValueError):
             select_k(points, [], seed=0)
 
+    def test_zero_restarts_rejected(self):
+        points, _ = make_blobs([[0] * 5, [50] * 5], 10, 1.0)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            select_k(points, [2], seed=0, restarts=0)
+
 
 def profile_from_series(tag, series):
     series = np.asarray(series, dtype=np.float64)

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -219,8 +218,7 @@ def _parse_years(cfg: dict, corpus: Corpus) -> list[int]:
             lo, hi = text.split("-", 1)
             return list(range(int(lo), int(hi) + 1))
         return sorted(int(y) for y in text.split(","))
-    years = {datetime.fromtimestamp(p.time, tz=timezone.utc).year for p in corpus.posts}
-    return sorted(years)
+    return corpus.years()
 
 
 def write_manifest(out_dir: Path, command: str, cfg: dict, strict: bool,
@@ -247,22 +245,25 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, strict: bool,
         fh.write("\n")
 
 
+def _save_synthetic(corpus: Corpus, posts: Path, stem: str) -> list[str]:
+    """Write posts, ``<stem>.friends.csv`` and, if any locations were planted,
+    ``<stem>.locations.csv`` side by side; returns the file names."""
+    save_corpus(corpus, posts, format="jsonl")
+    names = [posts.name, f"{stem}.friends.csv"]
+    save_friendships(corpus.friendships, posts.parent / names[1])
+    if corpus.location_categories:
+        names.append(f"{stem}.locations.csv")
+        save_location_categories(corpus.location_categories, posts.parent / names[2])
+    return names
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     started = time.time()
     cfg = resolve_settings(args)
-    spec = _spec_from_settings(cfg)
-    corpus = generate_synthetic(spec)
+    corpus = generate_synthetic(_spec_from_settings(cfg))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_corpus(corpus, out, format="jsonl")
-    artifacts = [out.name]
-    friends_path = out.with_suffix(out.suffix + ".friends.csv")
-    save_friendships(corpus.friendships, friends_path)
-    artifacts.append(friends_path.name)
-    if corpus.location_categories:
-        loc_path = out.with_suffix(out.suffix + ".locations.csv")
-        save_location_categories(corpus.location_categories, loc_path)
-        artifacts.append(loc_path.name)
+    artifacts = _save_synthetic(corpus, out, out.name)
     write_manifest(out.parent, "synth", cfg, args.strict, artifacts, started)
     print(f"wrote {len(corpus.posts)} posts for {len(corpus.users)} users to {out}")
     return 0
@@ -370,11 +371,7 @@ def cmd_all(args: argparse.Namespace) -> int:
         corpus = _load_input(args)
     else:
         corpus = generate_synthetic(_spec_from_settings(cfg))
-        save_corpus(corpus, out_dir / "corpus.jsonl")
-        save_friendships(corpus.friendships, out_dir / "corpus.friends.csv")
-        save_location_categories(corpus.location_categories,
-                                 out_dir / "corpus.locations.csv")
-        artifacts += ["corpus.jsonl", "corpus.friends.csv", "corpus.locations.csv"]
+        artifacts += _save_synthetic(corpus, out_dir / "corpus.jsonl", "corpus")
     skipped: dict[str, str] = {}
     for name in ("stats", "temporal", "spatial", "drift", "social"):
         try:

@@ -13,8 +13,9 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,6 +27,11 @@ JSONL_FIELDS = ("user", "time", "hashtags", "location")
 CSV_HEADER = ["user", "time", "hashtags", "location"]
 FRIENDS_HEADER = ["user_a", "user_b"]
 LOCATIONS_HEADER = ["location", "category"]
+
+EPOCH_YEAR = 1970
+# epoch seconds of the first and the last second of years 1..9999 (UTC)
+MIN_TIME = int(datetime.min.replace(tzinfo=timezone.utc).timestamp())
+MAX_TIME = int(datetime.max.replace(tzinfo=timezone.utc).timestamp())
 
 
 class CorpusFormatError(ValueError):
@@ -53,6 +59,16 @@ class QuarterBucket:
     def from_timestamp(cls, ts: int) -> "QuarterBucket":
         dt = datetime.fromtimestamp(ts, tz=timezone.utc)
         return cls(dt.year, (dt.month - 1) // 3 + 1)
+
+    @classmethod
+    def from_index(cls, index: int) -> "QuarterBucket":
+        year, quarter = divmod(int(index), 4)
+        return cls(EPOCH_YEAR + year, quarter + 1)
+
+    @property
+    def index(self) -> int:
+        """Quarters since 1970 Q1."""
+        return (self.year - EPOCH_YEAR) * 4 + self.quarter - 1
 
     def next(self) -> "QuarterBucket":
         if self.quarter == 4:
@@ -110,59 +126,88 @@ def normalize_friendships(pairs: Iterable[tuple[str, str]]) -> set[tuple[str, st
 
 @dataclass
 class Corpus:
+    """Posts plus side tables.  Aggregates are computed on first use and
+    cached, since posts do not change after construction."""
+
     posts: list[PostRecord]
     users: set[str] = field(default_factory=set)
     friendships: set[tuple[str, str]] = field(default_factory=set)
     location_categories: dict[str, str] = field(default_factory=dict)
-    _share_counts: Counter | None = field(default=None, init=False, repr=False,
-                                          compare=False)
-    _year_posts: dict[int, list[PostRecord]] = field(default_factory=dict, init=False,
-                                                     repr=False, compare=False)
 
     def __post_init__(self):
         self.users = set(self.users) | {p.user for p in self.posts}
         self.friendships = normalize_friendships(self.friendships)
 
-    def user_hashtags(self) -> dict[str, set[str]]:
-        """Distinct hashtags each user has ever shared."""
-        out: dict[str, set[str]] = {u: set() for u in self.users}
-        for p in self.posts:
-            out[p.user].update(p.hashtags)
-        return out
+    @cached_property
+    def post_quarters(self) -> np.ndarray:
+        """Each post's UTC calendar quarter as a ``QuarterBucket.index``."""
+        times = np.fromiter((p.time for p in self.posts), dtype=np.int64,
+                            count=len(self.posts))
+        return times.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64) // 3
 
-    def share_counts(self) -> Counter:
-        """Total share count per hashtag (one per post occurrence).
+    @cached_property
+    def _posts_by_year(self) -> dict[int, list[PostRecord]]:
+        by_year: dict[int, list[PostRecord]] = {}
+        for i, year in enumerate((self.post_quarters // 4 + EPOCH_YEAR).tolist()):
+            by_year.setdefault(year, []).append(self.posts[i])
+        return by_year
 
-        Counted on the first call and cached, since posts do not change after
-        construction; each call returns a fresh copy of the cache.
-        """
-        if self._share_counts is None:
-            counts: Counter = Counter()
-            for p in self.posts:
-                counts.update(p.hashtags)
-            self._share_counts = counts
-        return self._share_counts.copy()
+    def years(self) -> list[int]:
+        """The UTC calendar years that have posts, ascending."""
+        return sorted(self._posts_by_year)
 
     def posts_in_year(self, year: int) -> list[PostRecord]:
-        """Posts of one UTC calendar year, in corpus order.
+        """Posts of one UTC calendar year, in corpus order; a new list each call."""
+        return list(self._posts_by_year.get(year, ()))
 
-        Selected on the first call for each year and cached like
-        ``share_counts``; each call returns a new list.
-        """
-        if year not in self._year_posts:
-            lo = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
-            hi = int(datetime(year + 1, 1, 1, tzinfo=timezone.utc).timestamp())
-            self._year_posts[year] = [p for p in self.posts if lo <= p.time < hi]
-        return list(self._year_posts[year])
+    @cached_property
+    def _share_counts(self) -> Counter:
+        counts: Counter = Counter()
+        for p in self.posts:
+            counts.update(p.hashtags)
+        return counts
+
+    def share_counts(self) -> Counter:
+        """Total share count per hashtag (one per post occurrence); a new
+        Counter each call."""
+        return self._share_counts.copy()
+
+    @cached_property
+    def user_tag_counts(self) -> dict[str, Counter]:
+        """How often each user shared each hashtag.  Users who never shared
+        one are absent.  Shared cache: read, do not modify."""
+        counts: dict[str, Counter] = {}
+        for p in self.posts:
+            if p.hashtags:
+                counts.setdefault(p.user, Counter()).update(p.hashtags)
+        return counts
+
+    def user_hashtags(self) -> dict[str, set[str]]:
+        """Distinct hashtags each user has ever shared."""
+        return {u: set(self.user_tag_counts.get(u, ())) for u in self.users}
+
+    def sharers_in_year(self, year: int) -> dict[str, Counter]:
+        """Per hashtag shared in one UTC year, each user's share count that
+        year; users in order of their first share."""
+        sharers: dict[str, Counter] = {}
+        for p in self._posts_by_year.get(year, ()):
+            for tag in p.hashtags:
+                sharers.setdefault(tag, Counter())[p.user] += 1
+        return sharers
 
 
 def _parse_time(value, line: int) -> int:
     if value is None or value == "" or isinstance(value, bool):
         raise CorpusFormatError("missing or invalid timestamp", line)
+    if isinstance(value, float) and not value.is_integer():
+        raise CorpusFormatError(f"timestamp {value!r} is not a whole number", line)
     try:
-        return int(value)
+        time = int(value)
     except (TypeError, ValueError):
         raise CorpusFormatError(f"invalid timestamp {value!r}", line) from None
+    if not MIN_TIME <= time <= MAX_TIME:
+        raise CorpusFormatError(f"timestamp {time} is outside years 1..9999", line)
+    return time
 
 
 def _make_post(user, time_val, tags, location, line: int) -> PostRecord:
@@ -240,12 +285,11 @@ def load_corpus(
         raise CorpusFormatError(f"unknown format {format!r}, expected 'jsonl' or 'csv'")
 
     posts: list[PostRecord] = []
-    seen: set[tuple] = set()
+    seen: set[PostRecord] = set()
     for post in post_iter:
-        key = (post.user, post.time, post.hashtags, post.location)
-        if key in seen:
+        if post in seen:
             logger.warning("duplicate post for user %s at time %d", post.user, post.time)
-        seen.add(key)
+        seen.add(post)
         posts.append(post)
 
     friendships = load_friendships(friendships_path) if friendships_path else set()
@@ -344,16 +388,12 @@ def bucket_share_series(
     Hashtags with no in-range shares are omitted.  The default range covers
     2012 Q1 through 2015 Q4.
     """
-    quarters = quarter_range(*bucket_range)
-    index = {q: i for i, q in enumerate(quarters)}
-    n = len(quarters)
-
+    n = len(quarter_range(*bucket_range))
     counts: dict[str, np.ndarray] = {}
     in_range_posts = 0
-    for post in corpus.posts:
-        bucket = QuarterBucket.from_timestamp(post.time)
-        pos = index.get(bucket)
-        if pos is None:
+    for pos, post in zip((corpus.post_quarters - bucket_range[0].index).tolist(),
+                         corpus.posts):
+        if not 0 <= pos < n:
             continue
         in_range_posts += 1
         for tag in post.hashtags:

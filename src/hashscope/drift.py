@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,19 +77,6 @@ def overall_displacement(per_pair: list[float]) -> float:
     return float(np.mean(per_pair))
 
 
-def _yearly_user_counts(corpus: Corpus, year: int, tags: set[str]) -> dict[str, Counter]:
-    """Per-user share counts of each of the given hashtags in one year.
-
-    Users appear in each Counter in order of their first share that year.
-    """
-    per_tag: dict[str, Counter] = {}
-    for post in corpus.posts_in_year(year):
-        for tag in post.hashtags:
-            if tag in tags:
-                per_tag.setdefault(tag, Counter())[post.user] += 1
-    return per_tag
-
-
 def entropy_from_counts(counts) -> float:
     values = np.array([c for c in counts if c > 0], dtype=np.float64)
     if values.sum() <= 0:
@@ -106,7 +92,7 @@ def hashtag_entropy(corpus: Corpus, hashtag: str, year: int) -> float:
     natural log.  0 means a single sharer; ln(n) means n users sharing
     uniformly.
     """
-    counts = _yearly_user_counts(corpus, year, {hashtag}).get(hashtag)
+    counts = corpus.sharers_in_year(year).get(hashtag)
     if not counts:
         raise ValueError(f"hashtag {hashtag!r} unshared in {year}")
     return entropy_from_counts(counts.values())
@@ -182,7 +168,9 @@ def drift_analysis(
     frequency: dict[tuple[str, int], int] = {}
 
     for year in years:
-        for tag, counts in _yearly_user_counts(corpus, year, focus_set).items():
+        for tag, counts in corpus.sharers_in_year(year).items():
+            if tag not in focus_set:
+                continue
             entropy[(tag, year)] = entropy_from_counts(counts.values())
             frequency[(tag, year)] = int(sum(counts.values()))
 

@@ -4,6 +4,7 @@ quarterly adoption series."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,28 +75,20 @@ def report_stats(corpus: Corpus, top_k: int = 10) -> StatsReport:
     if not corpus.posts:
         raise ValueError("empty corpus")
     counts = corpus.share_counts()
-    per_tag_users: dict[str, set[str]] = {}
-    hist: dict[int, int] = {}
-    for post in corpus.posts:
-        hist[len(post.hashtags)] = hist.get(len(post.hashtags), 0) + 1
-        for tag in post.hashtags:
-            per_tag_users.setdefault(tag, set()).add(post.user)
+    hist = Counter(len(post.hashtags) for post in corpus.posts)
+    tag_users = Counter(tag for per_user in corpus.user_tag_counts.values()
+                        for tag in per_user)
 
-    first = QuarterBucket.from_timestamp(min(p.time for p in corpus.posts))
-    last = QuarterBucket.from_timestamp(max(p.time for p in corpus.posts))
-    quarters = quarter_range(first, last)
-    q_index = {q: i for i, q in enumerate(quarters)}
-    posts_q = np.zeros(len(quarters), dtype=np.int64)
-    tagged_q = np.zeros(len(quarters), dtype=np.int64)
-    users_q: list[set[str]] = [set() for _ in quarters]
-    tagged_users_q: list[set[str]] = [set() for _ in quarters]
-    for post in corpus.posts:
-        qi = q_index[QuarterBucket.from_timestamp(post.time)]
-        posts_q[qi] += 1
-        users_q[qi].add(post.user)
-        if post.hashtags:
-            tagged_q[qi] += 1
-            tagged_users_q[qi].add(post.user)
+    first = int(corpus.post_quarters.min())
+    quarters = quarter_range(QuarterBucket.from_index(first),
+                             QuarterBucket.from_index(corpus.post_quarters.max()))
+    pos = (corpus.post_quarters - first).tolist()
+    tagged = [qi for qi, post in zip(pos, corpus.posts) if post.hashtags]
+    active = {(qi, post.user) for qi, post in zip(pos, corpus.posts)}
+    sharing = {(qi, post.user) for qi, post in zip(pos, corpus.posts) if post.hashtags}
+    posts_q, tagged_q, users_q, sharing_q = (
+        np.bincount(q, minlength=len(quarters))
+        for q in (pos, tagged, [qi for qi, _ in active], [qi for qi, _ in sharing]))
 
     adoption = []
     for i, q in enumerate(quarters):
@@ -105,7 +98,7 @@ def report_stats(corpus: Corpus, top_k: int = 10) -> StatsReport:
             "quarter": str(q),
             "posts": int(posts_q[i]),
             "post_proportion": float(tagged_q[i] / posts_q[i]),
-            "user_proportion": float(len(tagged_users_q[i]) / len(users_q[i])),
+            "user_proportion": float(sharing_q[i] / users_q[i]),
         })
 
     n_posts = len(corpus.posts)
@@ -117,7 +110,7 @@ def report_stats(corpus: Corpus, top_k: int = 10) -> StatsReport:
         n_friendships=len(corpus.friendships),
         hashtag_count_histogram={k: hist[k] / n_posts for k in sorted(hist)},
         share_count_bins=_log_bins(list(counts.values())),
-        user_count_bins=_log_bins([len(v) for v in per_tag_users.values()]),
+        user_count_bins=_log_bins(list(tag_users.values())),
         top_hashtags=[(t, int(counts[t])) for t in top_k_hashtags(corpus, top_k)],
         adoption=adoption,
     )

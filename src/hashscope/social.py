@@ -80,13 +80,7 @@ def build_graph(corpus: Corpus) -> BipartiteGraph:
     Users with no hashtags are left out of the graph and listed in
     ``excluded_users``.
     """
-    counts: dict[str, dict[str, int]] = {}
-    for post in corpus.posts:
-        if not post.hashtags:
-            continue
-        per_user = counts.setdefault(post.user, {})
-        for tag in post.hashtags:
-            per_user[tag] = per_user.get(tag, 0) + 1
+    counts = corpus.user_tag_counts
     if not counts:
         raise GraphError("corpus has no hashtag-bearing posts")
 
@@ -95,28 +89,16 @@ def build_graph(corpus: Corpus) -> BipartiteGraph:
     tags = sorted({t for per_user in counts.values() for t in per_user})
     tag_idx = {t: len(users) + i for i, t in enumerate(tags)}
 
-    n = len(users) + len(tags)
-    degree = np.zeros(n, dtype=np.int64)
-    for ui, user in enumerate(users):
-        degree[ui] = len(counts[user])
-        for tag in counts[user]:
-            degree[tag_idx[tag]] += 1
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=offsets[1:])
-
-    neighbors = np.zeros(offsets[-1], dtype=np.int64)
-    weights = np.zeros(offsets[-1], dtype=np.float64)
-    cursor = offsets[:-1].copy()
-    for ui, user in enumerate(users):
-        for tag in sorted(counts[user]):
-            w = counts[user][tag]
-            ti = tag_idx[tag]
-            neighbors[cursor[ui]] = ti
-            weights[cursor[ui]] = w
-            cursor[ui] += 1
-            neighbors[cursor[ti]] = ui
-            weights[cursor[ti]] = w
-            cursor[ti] += 1
+    # each edge once per direction: user -> tag rows first, then tag -> user;
+    # a stable sort on the source node keeps every row's neighbours ascending
+    u, t, w = np.array([(ui, tag_idx[tag], n) for ui, user in enumerate(users)
+                        for tag, n in sorted(counts[user].items())], dtype=np.int64).T
+    src = np.concatenate([u, t])
+    order = np.argsort(src, kind="stable")
+    offsets = np.zeros(len(users) + len(tags) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=len(offsets) - 1), out=offsets[1:])
+    neighbors = np.concatenate([t, u])[order]
+    weights = np.concatenate([w, w])[order].astype(np.float64)
     return BipartiteGraph(
         users=users, hashtags=tags, offsets=offsets,
         neighbors=neighbors, weights=weights, excluded_users=excluded,

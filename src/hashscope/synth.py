@@ -15,7 +15,7 @@ always yields a byte-identical corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -24,14 +24,19 @@ from .corpus import Corpus, PostRecord, MAX_HASHTAGS_PER_POST
 
 TEMPORAL_CLASSES = ("periodic", "rising", "stable", "meteor")
 
-DEFAULT_CATEGORIES = (
+CATEGORIES = (
     "park", "cafe", "restaurant", "bar", "office",
     "museum", "gym", "theater", "hotel", "market",
 )
 # relative propensity to attach hashtags at each category; bar and office suppressed
-DEFAULT_CATEGORY_TAG_RATES = (1.3, 1.1, 1.0, 0.35, 0.5, 1.2, 1.0, 1.1, 0.9, 1.0)
+CATEGORY_TAG_RATES = (1.3, 1.1, 1.0, 0.35, 0.5, 1.2, 1.0, 1.1, 0.9, 1.0)
 
 LOCATIONS_PER_CATEGORY = 3
+
+DRIFT_OWNER_RATE = 0.8   # per-post chance a drifted hashtag's current owner attaches it
+DRIFT_COMM_RATE = 0.002  # the same for any other member of its current community
+# hashtag-bearing share of posts at the corpus's start and end under adoption_growth
+ADOPTION_START, ADOPTION_END = 0.15, 0.9
 
 
 class SynthesisError(ValueError):
@@ -67,8 +72,6 @@ class SyntheticSpec:
 
     drifted: int = 0
     drift_year: int | None = None
-    drift_owner_rate: float = 0.8
-    drift_comm_rate: float = 0.002
 
     homophily: float = 0.0
     friends_per_user: float = 6.0
@@ -77,12 +80,8 @@ class SyntheticSpec:
     mean_extra_tags: float = 2.0
     no_hashtag_rate: float = 0.35
     adoption_growth: bool = False
-    adoption_start: float = 0.15
-    adoption_end: float = 0.9
 
     located_rate: float = 0.0
-    categories: tuple[str, ...] = DEFAULT_CATEGORIES
-    category_tag_rates: tuple[float, ...] = DEFAULT_CATEGORY_TAG_RATES
 
     seed: int = 0
 
@@ -177,8 +176,7 @@ class SyntheticSpec:
                 f"hashtag count {self.hashtags}"
             )
         for name in ("community_mix", "homophily", "no_hashtag_rate", "located_rate",
-                     "drift_owner_rate", "drift_comm_rate", "adoption_start",
-                     "adoption_end", "pair_affinity"):
+                     "pair_affinity"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise SynthesisError(f"{name} must be in [0, 1], got {value}")
@@ -195,8 +193,6 @@ class SyntheticSpec:
                         f"not enough users to assign distinct owners for {self.drifted} "
                         "drifted hashtags"
                     )
-        if self.located_rate > 0 and len(self.categories) != len(self.category_tag_rates):
-            raise SynthesisError("categories and category_tag_rates must align")
 
 
 def _class_of(tag: str) -> str | None:
@@ -323,7 +319,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
     post_comm = user_comm_all[post_user]
 
     # location assignment; category popularity decays linearly with rank
-    n_cat = len(spec.categories)
+    n_cat = len(CATEGORIES)
     post_cat = np.full(n, -1)
     post_loc_idx = np.full(n, -1)
     if spec.located_rate > 0:
@@ -339,11 +335,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
     # hashtag adoption; optionally growing over time, suppressed at some categories
     if spec.adoption_growth:
         frac = (post_ts - start_ts) / max(end_ts - start_ts, 1)
-        p_tags = spec.adoption_start + (spec.adoption_end - spec.adoption_start) * frac
+        p_tags = ADOPTION_START + (ADOPTION_END - ADOPTION_START) * frac
     else:
         p_tags = np.full(n, 1.0 - spec.no_hashtag_rate)
     if spec.located_rate > 0:
-        rates = np.array(spec.category_tag_rates)
+        rates = np.array(CATEGORY_TAG_RATES)
         mask = post_cat >= 0
         p_tags = p_tags.copy()
         p_tags[mask] = np.clip(p_tags[mask] * rates[post_cat[mask]], 0.0, 1.0)
@@ -415,8 +411,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
         cur_owner = np.where(before, name_to_idx[owner_b], name_to_idx[owner_a])
         is_owner = post_user == cur_owner
         in_comm = post_comm == cur_comm
-        p = np.where(is_owner, spec.drift_owner_rate,
-                     np.where(in_comm, spec.drift_comm_rate, 0.0))
+        p = np.where(is_owner, DRIFT_OWNER_RATE,
+                     np.where(in_comm, DRIFT_COMM_RATE, 0.0))
         hits = np.flatnonzero(has_tags & (rng.random(n) < p))
         for row in hits:
             post_tags[row].append(tag)
@@ -424,7 +420,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
     names = spec.user_names()
     loc_names = [f"loc{i:04d}" for i in range(n_cat * LOCATIONS_PER_CATEGORY)]
     location_categories = {
-        loc_names[i]: spec.categories[i // LOCATIONS_PER_CATEGORY]
+        loc_names[i]: CATEGORIES[i // LOCATIONS_PER_CATEGORY]
         for i in range(len(loc_names))
     } if spec.located_rate > 0 else {}
 

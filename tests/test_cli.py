@@ -247,6 +247,25 @@ class TestAllCommand:
             assert name in manifest["artifacts"]
         assert not (out / "social_summary.json").exists()
 
+    def test_no_planted_locations_no_locations_file(self, tmp_path, capsys):
+        out = tmp_path / "all"
+        code = run_cli([
+            "all", "--out", str(out), "--seed", "2", "--strict",
+            "--users", "80", "--hashtags", "120", "--posts", "6000",
+            "--periodic", "8", "--rising", "8", "--stable", "8", "--meteor", "8",
+            "--communities", "5", "--drifted", "3", "--located-rate", "0",
+        ] + self.FAST)
+        assert code == 1
+        assert "spatial: skipped (corpus has no posts at category-mapped" in (
+            capsys.readouterr().err)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["skipped"]) == ["spatial"]
+        assert not (out / "corpus.locations.csv").exists()
+        assert "corpus.locations.csv" not in manifest["artifacts"]
+        for name in ("corpus.jsonl", "corpus.friends.csv"):
+            assert (out / name).exists(), name
+            assert name in manifest["artifacts"]
+
     def test_zero_restarts_skips_temporal(self, tmp_path, capsys):
         posts, friends, locations = small_corpus_files(tmp_path)
         out = tmp_path / "all"

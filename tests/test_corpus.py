@@ -67,6 +67,37 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 1"):
             load_corpus(path, format="jsonl")
 
+    @pytest.mark.parametrize("raw_time, message", [
+        ("1.5", "not a whole number"),
+        ("Infinity", "not a whole number"),
+        ("NaN", "not a whole number"),
+        ("10000000000000", "outside years 1..9999"),
+        ("-62135596801", "outside years 1..9999"),
+    ])
+    def test_unusable_timestamp_rejected_with_line(self, tmp_path, raw_time, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"user": "a", "time": 1, "hashtags": []}\n'
+                        f'{{"user": "a", "time": {raw_time}, "hashtags": []}}\n')
+        with pytest.raises(CorpusFormatError, match=f"line 2: .*{message}"):
+            load_corpus(path, format="jsonl")
+
+    def test_whole_float_and_extreme_timestamps_accepted(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [
+            {"user": "a", "time": 1356998400.0, "hashtags": ["x"]},
+            {"user": "a", "time": -62135596800, "hashtags": ["x"]},
+            {"user": "a", "time": 253402300799, "hashtags": ["x"]},
+        ])
+        corpus = load_corpus(path, format="jsonl")
+        assert [p.time for p in corpus.posts] == [1356998400, -62135596800, 253402300799]
+        assert corpus.years() == [1, 2013, 9999]
+
+    def test_csv_fractional_timestamp_rejected_with_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("user,time,hashtags,location\na,1400000000,x,\na,1400000000.5,x,\n")
+        with pytest.raises(CorpusFormatError, match="line 3"):
+            load_corpus(path, format="csv")
+
     def test_invalid_json_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"user": "a", "time": 1, "hashtags": []}\nnot json\n')
@@ -177,12 +208,58 @@ class TestPostsInYear:
         second = three_post_corpus.posts_in_year(2012)
         assert three_post_corpus.posts.scans == 1
         assert first == second
+        # every year is grouped in the same single pass
         three_post_corpus.posts_in_year(2013)
-        assert three_post_corpus.posts.scans == 2
+        assert three_post_corpus.posts.scans == 1
 
     def test_callers_cannot_mutate_cache(self, three_post_corpus):
         three_post_corpus.posts_in_year(2012).clear()
         assert len(three_post_corpus.posts_in_year(2012)) == 2
+
+
+class TestPostQuarters:
+    def test_matches_from_timestamp(self):
+        times = [ts(1969, 12, 31, 23), ts(1970), ts(2012, 3, 31, 23), ts(2012, 4),
+                 ts(2015, 12, 31, 23), -62135596800, 253402300799]
+        corpus = Corpus(posts=[PostRecord("u", t, frozenset()) for t in times])
+        assert [QuarterBucket.from_index(i) for i in corpus.post_quarters] == [
+            QuarterBucket.from_timestamp(t) for t in times]
+
+    def test_index_round_trip(self):
+        for bucket in (QuarterBucket(1, 1), QuarterBucket(1969, 4),
+                       QuarterBucket(1970, 1), QuarterBucket(2013, 3)):
+            assert QuarterBucket.from_index(bucket.index) == bucket
+        assert QuarterBucket(1970, 2).index == 1
+
+    def test_years_ascending(self, three_post_corpus):
+        assert three_post_corpus.years() == [2012, 2013]
+
+
+class TestUserTagCounts:
+    def test_counts_per_user_and_hashtag(self, three_post_corpus):
+        silent = PostRecord("carol", ts(2013), frozenset())
+        corpus = Corpus(posts=three_post_corpus.posts + [silent])
+        assert corpus.user_tag_counts == {
+            "alice": {"sun": 2, "sea": 1}, "bob": {"sea": 1, "ski": 1}}
+
+    def test_user_hashtags_covers_every_user(self, three_post_corpus):
+        corpus = Corpus(posts=three_post_corpus.posts, users={"dave"})
+        assert corpus.user_hashtags() == {
+            "alice": {"sun", "sea"}, "bob": {"sea", "ski"}, "dave": set()}
+
+    def test_sharers_in_year_first_share_order(self):
+        posts = [
+            PostRecord("b", ts(2013, 1), frozenset({"h"})),
+            PostRecord("a", ts(2012, 6), frozenset({"h"})),
+            PostRecord("a", ts(2013, 2), frozenset({"h", "k"})),
+            PostRecord("b", ts(2013, 3), frozenset({"h"})),
+        ]
+        corpus = Corpus(posts=posts)
+        sharers = corpus.sharers_in_year(2013)
+        assert sharers == {"h": {"b": 2, "a": 1}, "k": {"a": 1}}
+        assert list(sharers["h"]) == ["b", "a"]
+        assert corpus.sharers_in_year(2012) == {"h": {"a": 1}}
+        assert corpus.sharers_in_year(2014) == {}
 
 
 class TestPostRecord:

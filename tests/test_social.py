@@ -58,6 +58,29 @@ class TestBuildGraph:
         instances = sum(len(p.hashtags) for p in corpus.posts)
         assert graph.total_weight == instances
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_csr_matches_per_node_reference(self, seed):
+        corpus = generate_synthetic(SyntheticSpec(users=60, hashtags=90, posts=3000,
+                                                  communities=4, seed=seed))
+        graph = build_graph(corpus)
+        # reference: every node's neighbours in ascending node id, weight = shares
+        shares = {}
+        for post in corpus.posts:
+            for tag in post.hashtags:
+                shares[post.user, tag] = shares.get((post.user, tag), 0) + 1
+        ids = {name: i for i, name in enumerate(graph.users + graph.hashtags)}
+        rows = [[] for _ in ids]
+        for (user, tag), n in shares.items():
+            rows[ids[user]].append((ids[tag], n))
+            rows[ids[tag]].append((ids[user], n))
+        rows = [sorted(row) for row in rows]
+        assert graph.users == sorted({u for u, _ in shares})
+        assert graph.hashtags == sorted({t for _, t in shares})
+        assert np.array_equal(graph.offsets, np.cumsum([0] + [len(r) for r in rows]))
+        assert np.array_equal(graph.neighbors, [i for row in rows for i, _ in row])
+        assert np.array_equal(graph.weights, [float(n) for row in rows for _, n in row])
+        assert graph.neighbors.dtype == np.int64 and graph.weights.dtype == np.float64
+
     def test_empty_graph_rejected(self):
         posts = [PostRecord("u", ts(2013), frozenset())]
         with pytest.raises(GraphError):

@@ -9,9 +9,11 @@
 #   - the wide-cli corpus shape: synth --seed 1 --users 1000 --hashtags 3000
 #     --posts 40000, then stats, temporal --top-k 2000 and spatial, each
 #     --strict, on that corpus.
-# Every command's artifacts, manifest, stdout, stderr and exit code are kept,
-# and the two trees are compared with diff -r.  Exits 0 and prints
-# "no differences" when they match.
+# The working tree is also run once more with OPENBLAS_NUM_THREADS=1, since
+# --strict output must not depend on the BLAS thread count.  Every command's
+# artifacts, manifest, stdout, stderr and exit code are kept, and the parent
+# and the one-thread outputs are each compared with the working tree's by
+# diff -r.  Exits 0 and prints "no differences" when all of them match.
 set -euo pipefail
 
 ref=${1:?usage: $0 PARENT_REF}
@@ -54,8 +56,12 @@ echo "running $ref ..."
 run_all "$work/parent-src" "$work/parent"
 echo "running the working tree ..."
 run_all "$root" "$work/change"
-if diff -r "$work/parent" "$work/change"; then
+echo "running the working tree with one BLAS thread ..."
+(export OPENBLAS_NUM_THREADS=1; run_all "$root" "$work/change-1thread")
+status=0
+diff -r "$work/parent" "$work/change" || status=1
+diff -r "$work/change" "$work/change-1thread" || status=1
+if [ "$status" -eq 0 ]; then
     echo "no differences"
-else
-    exit 1
 fi
+exit "$status"

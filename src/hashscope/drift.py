@@ -33,7 +33,7 @@ class AlignmentMap:
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """Rotate column vectors (d x n) or a single vector."""
-        return self.matrix @ vectors
+        return np.einsum("ij,j...->i...", self.matrix, vectors)
 
 
 @dataclass
@@ -54,6 +54,9 @@ def procrustes_align(source: np.ndarray, target: np.ndarray) -> AlignmentMap:
     Both matrices are d x n with column i of each holding the same
     vocabulary item.  X = U V^T from the SVD of target @ source^T, the
     minimizer of ||X source - target||_F over orthogonal X.
+
+    The products go through ``np.einsum`` (no BLAS call), so the result does
+    not depend on the BLAS thread count.
     """
     source = np.asarray(source, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -61,8 +64,8 @@ def procrustes_align(source: np.ndarray, target: np.ndarray) -> AlignmentMap:
         raise ValueError(f"shape mismatch: source {source.shape}, target {target.shape}")
     if source.ndim != 2:
         raise ValueError("expected 2-D matrices")
-    u, _, vt = np.linalg.svd(target @ source.T)
-    x = u @ vt
+    u, _, vt = np.linalg.svd(np.einsum("in,jn->ij", target, source))
+    x = np.einsum("ik,kj->ij", u, vt)
     result = AlignmentMap(matrix=x)
     residual = result.orthogonality_residual()
     if residual > ORTHOGONALITY_TOL:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 
 class VocabularyError(ValueError):
@@ -139,26 +138,6 @@ def skipgram_pair_loss(center_vec, context_vec, neg_vecs):
     return loss, grad_c, grad_o, grad_negs
 
 
-def cbow_pair_loss(context_vecs, target_vec, neg_vecs):
-    """Loss and analytic gradients for one CBOW (contexts, target, negatives) triple.
-
-    The hidden vector is the mean of the context vectors; each context row
-    receives an equal share of the hidden gradient.
-    """
-    ctx = np.asarray(context_vecs, dtype=np.float64)
-    t = np.asarray(target_vec, dtype=np.float64)
-    negs = np.asarray(neg_vecs, dtype=np.float64)
-    h = ctx.mean(axis=0)
-    s_pos = _sigmoid(np.array(h @ t))
-    s_neg = _sigmoid(negs @ h)
-    loss = -float(_log_sigmoid(np.array(h @ t))) - float(_log_sigmoid(-(negs @ h)).sum())
-    grad_h = (s_pos - 1.0) * t + s_neg @ negs
-    grad_ctx = np.tile(grad_h / len(ctx), (len(ctx), 1))
-    grad_t = (s_pos - 1.0) * h
-    grad_negs = s_neg[:, None] * h[None, :]
-    return loss, grad_ctx, grad_t, grad_negs
-
-
 def _token_seed(seed: int, token: str) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | int.from_bytes(digest, "little")
@@ -235,6 +214,8 @@ def _scatter_add(matrix: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> Non
     """
     if len(rows) == 0:
         return
+    from scipy import sparse  # imported on first training step, not at CLI start
+
     ones = np.ones(len(rows), dtype=np.float32)
     s = sparse.csc_matrix(
         (ones, rows, np.arange(len(rows) + 1)), shape=(len(matrix), len(rows))
@@ -251,6 +232,8 @@ def _context_sum(ctx: np.ndarray, n_vocab: int):
     Repeated ids stay separate unit entries, never merged, so every sum adds
     the same terms in the same order as a dense gather would.
     """
+    from scipy import sparse  # imported on first training step, not at CLI start
+
     mask = ctx >= 0
     counts = mask.sum(axis=1)
     indices = ctx[mask]

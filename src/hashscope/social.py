@@ -69,10 +69,6 @@ class BipartiteGraph:
             [USER_PREFIX + u for u in self.users] + [TAG_PREFIX + h for h in self.hashtags]
         )
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum()) / 2.0  # each edge stored twice
-
 
 def build_graph(corpus: Corpus) -> BipartiteGraph:
     """Weighted bipartite graph from share counts.

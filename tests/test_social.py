@@ -56,7 +56,7 @@ class TestBuildGraph:
                                                   posts=3000, seed=1))
         graph = build_graph(corpus)
         instances = sum(len(p.hashtags) for p in corpus.posts)
-        assert graph.total_weight == instances
+        assert graph.weights.sum() / 2 == instances  # each edge is stored twice
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_csr_matches_per_node_reference(self, seed):
@@ -251,6 +251,26 @@ class TestSampleStrangers:
         corpus = generate_synthetic(SyntheticSpec(users=40, hashtags=40,
                                                   posts=1000, seed=8))
         assert sample_strangers(corpus, 50, seed=5) == sample_strangers(corpus, 50, seed=5)
+
+    def test_every_stranger_pair_drawn_exactly_once(self):
+        users = [f"u{i}" for i in range(7)]
+        friends = {("u0", "u1"), ("u2", "u5"), ("u3", "u6")}
+        corpus = posts_for({u: {"a": 1} for u in users}, friendships=friends)
+        complement = {(a, b) for i, a in enumerate(users) for b in users[i + 1:]} - friends
+        pairs = sample_strangers(corpus, len(complement), seed=3)
+        assert len(pairs) == len(complement) == 18
+        assert set(pairs) == complement
+        assert pairs == sample_strangers(corpus, len(complement), seed=3)
+        assert pairs != sample_strangers(corpus, len(complement), seed=4)
+
+    def test_dense_request_stays_in_the_user_pool(self):
+        users = [f"u{i}" for i in range(8)]
+        friends = {("u0", "u7"), ("u1", "u2")}
+        corpus = posts_for({u: {"a": 1} for u in users}, friendships=friends)
+        pool = users[1:]                    # 21 pairs, one of them friends
+        pairs = sample_strangers(corpus, 20, seed=1, users=pool)
+        assert len(pairs) == 20
+        assert set(pairs) == {(a, b) for i, a in enumerate(pool) for b in pool[i + 1:]} - friends
 
 
 def brute_force_auc(pos, neg):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hashscope import temporal
 from hashscope.synth import SyntheticSpec, generate_synthetic
 from hashscope.temporal import (
     ClusterResult,
@@ -13,6 +14,7 @@ from hashscope.temporal import (
     select_k,
     silhouette,
     standardize,
+    _block_rows,
 )
 
 
@@ -117,13 +119,13 @@ class TestKMeans:
 class TestSilhouette:
     def test_tight_far_blobs_above_09(self):
         points, labels = make_blobs([[0, 0], [100, 100]], 40, 1.0)
-        assert silhouette(points, labels) > 0.9
+        assert silhouette(points, [labels])[0] > 0.9
 
     def test_uniform_random_near_zero(self):
         rng = np.random.default_rng(7)
         points = rng.random((200, 4))
         labels = rng.integers(0, 2, 200)
-        assert abs(silhouette(points, labels)) < 0.2
+        assert abs(silhouette(points, [labels])[0]) < 0.2
 
     def test_matches_brute_force_definition(self):
         rng = np.random.default_rng(11)
@@ -146,11 +148,11 @@ class TestSilhouette:
                 )
                 total += (b - a) / max(a, b)
             return total / n
-        assert silhouette(points, labels) == pytest.approx(brute(), abs=1e-12)
+        assert silhouette(points, [labels])[0] == pytest.approx(brute(), abs=1e-12)
 
     def test_single_cluster_rejected(self):
         with pytest.raises(ValueError):
-            silhouette(np.zeros((5, 2)), np.zeros(5, dtype=int))
+            silhouette(np.zeros((5, 2)), [np.zeros(5, dtype=int)])
 
     def test_range_bounds(self):
         rng = np.random.default_rng(2)
@@ -159,8 +161,121 @@ class TestSilhouette:
             labels = rng.integers(0, 4, 30)
             if len(set(labels.tolist())) < 2:
                 continue
-            s = silhouette(points, labels)
+            s = silhouette(points, [labels])[0]
             assert -1.0 <= s <= 1.0
+
+
+def reference_silhouette(points, assignment):
+    """The per-point loop that scored one assignment per call before the
+    one-pass version; kept as the bit-exact reference."""
+    points = np.asarray(points, dtype=np.float64)
+    assignment = np.asarray(assignment)
+    cluster_ids = np.unique(assignment)
+    n = len(points)
+    scores = np.zeros(n)
+    masks = {c: assignment == c for c in cluster_ids}
+    sizes = {c: int(m.sum()) for c, m in masks.items()}
+    for i in range(n):
+        own = assignment[i]
+        if sizes[own] == 1:
+            continue
+        dist = np.sqrt(((points[i] - points) ** 2).sum(axis=1))
+        a = dist[masks[own]].sum() / (sizes[own] - 1)
+        b = min(
+            dist[masks[c]].mean() for c in cluster_ids if c != own
+        )
+        scores[i] = (b - a) / max(a, b)
+    return float(scores.mean())
+
+
+def random_assignments(rng, n, ks):
+    """One assignment per k, each using every cluster id in 0..k-1."""
+    out = []
+    for k in ks:
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        out.append(rng.permutation(labels))
+    return out
+
+
+class TestSilhouetteMatchesReference:
+    def assert_matches(self, points, assignments):
+        scores = silhouette(points, assignments)
+        assert len(scores) == len(assignments)
+        for score, assignment in zip(scores, assignments):
+            assert score == reference_silhouette(points, assignment)
+
+    def test_every_k_up_to_ten(self):
+        rng = np.random.default_rng(21)
+        points = standardize(rng.normal(size=(150, 13)))
+        self.assert_matches(points, random_assignments(rng, 150, range(2, 11)))
+
+    def test_singleton_clusters(self):
+        rng = np.random.default_rng(22)
+        points = rng.normal(size=(60, 13))
+        labels = rng.integers(0, 3, 60)
+        labels[[5, 17]] = [3, 4]            # two singleton clusters
+        only_two = np.zeros(60, dtype=int)
+        only_two[0] = 1                     # a singleton beside one big cluster
+        self.assert_matches(points, [labels, only_two])
+
+    def test_non_contiguous_cluster_ids(self):
+        rng = np.random.default_rng(23)
+        points = rng.normal(size=(80, 13))
+        ids = np.array([0, 3, 7])
+        self.assert_matches(points, [ids[rng.integers(0, 3, 80)],
+                                     np.array([9, 2])[rng.integers(0, 2, 80)]])
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(24)
+        centers = rng.normal(size=(4, 13))
+        labels = rng.integers(0, 4, 70)
+        points = centers[labels]            # every distance inside a cluster is 0
+        points[::7] += 0.5                  # a few distinct points among the copies
+        self.assert_matches(points, [labels, labels % 2])
+
+    def test_n_below_one_block(self):
+        rng = np.random.default_rng(25)
+        points = rng.normal(size=(40, 13))
+        assert _block_rows(40, 13) > 40
+        self.assert_matches(points, random_assignments(rng, 40, [2, 5, 8]))
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_n_not_a_multiple_of_the_block(self, monkeypatch, rows):
+        n, d = 101, 13
+        monkeypatch.setattr(temporal, "SILHOUETTE_BLOCK_BYTES", rows * 8 * n * d)
+        assert _block_rows(n, d) == rows
+        assert rows == 1 or n % rows
+        rng = np.random.default_rng(26)
+        points = standardize(rng.normal(size=(n, d)))
+        self.assert_matches(points, random_assignments(rng, n, [2, 4, 9]))
+
+    def test_every_assignment_needs_two_clusters(self):
+        rng = np.random.default_rng(27)
+        points = rng.normal(size=(20, 3))
+        with pytest.raises(ValueError, match="at least 2 clusters"):
+            silhouette(points, [rng.integers(0, 2, 20), np.full(20, 4)])
+
+    def test_permuted_block_needs_contiguous_copy(self):
+        # d[:, order] is not C-contiguous; numpy may then reduce its row
+        # slices in another order than a 1-D sum, so the last bits differ.
+        # The contiguous copy that silhouette makes restores the 1-D sums.
+        rng = np.random.default_rng(28)
+        points = standardize(rng.normal(size=(200, 13)))
+        labels = rng.integers(0, 4, 200)
+        order = np.argsort(labels, kind="stable")
+        bounds = np.r_[0, np.cumsum(np.bincount(labels))]
+        block = np.sqrt(((points[:8, None] - points) ** 2).sum(axis=-1))
+        permuted = block[:, order]
+        copied = np.ascontiguousarray(permuted)
+        mismatches = 0
+        for c in range(4):
+            lo, hi = bounds[c], bounds[c + 1]
+            masked = np.array([row[labels == c].sum() for row in block])
+            assert np.array_equal(copied[:, lo:hi].sum(axis=1), masked)
+            mismatches += int((permuted[:, lo:hi].sum(axis=1) != masked).sum())
+        assert silhouette(points, [labels]) == [reference_silhouette(points, labels)]
+        if mismatches == 0:
+            pytest.skip("this numpy sums the strided slices like the 1-D sums")
 
 
 class TestSelectK:

@@ -30,9 +30,13 @@ FEATURE_NAMES = [
 
 LABELS = ("Stable", "Rising", "Periodic", "Meteor")
 
-# scratch budget for one block of silhouette distance rows (7 points at
-# n = 2000 with 13 features); no n x n matrix is ever built
+# scratch budget for one block of silhouette distance rows; no n x n matrix
+# is ever built.  A block keeps at most SILHOUETTE_LIVE_ROWS arrays of
+# rows x n floats alive: the distance kernel's 8 partial sums, its newest
+# term and the difference squared into it, then the distances and their
+# permuted copies.
 SILHOUETTE_BLOCK_BYTES = 1_500_000
+SILHOUETTE_LIVE_ROWS = 10
 
 
 @dataclass(frozen=True)
@@ -63,28 +67,29 @@ class ClusterResult:
 
 
 def extract_features(series: np.ndarray) -> np.ndarray:
-    """13 ordered summary features of a 16-quarter share series.
+    """13 ordered summary features of each 16-quarter share series.
 
-    Order: overall std; the 3 largest values (descending); their mean, std,
-    and index std; the 3 smallest values (ascending); their mean, std, and
-    index std.  Population std throughout; value ties resolve to the lowest
-    index.
+    ``series`` holds one series on its last axis, or a stack of them; the
+    features take the place of that axis.  Order: overall std; the 3 largest
+    values (descending); their mean, std, and index std; the 3 smallest
+    values (ascending); their mean, std, and index std.  Population std
+    throughout; value ties resolve to the lowest index.
     """
     series = np.asarray(series, dtype=np.float64)
-    if series.shape != (SERIES_LENGTH,):
+    if series.ndim == 0 or series.shape[-1] != SERIES_LENGTH:
         raise ValueError(f"series must have length {SERIES_LENGTH}, got shape {series.shape}")
-    idx = np.arange(SERIES_LENGTH)
-    desc = np.lexsort((idx, -series))[:3]    # by value desc, then lowest index
-    asc = np.lexsort((idx, series))[:3]      # by value asc, then lowest index
-    top_vals = series[desc]
-    bot_vals = series[asc]
-    return np.array([
-        series.std(),
-        top_vals[0], top_vals[1], top_vals[2],
-        top_vals.mean(), top_vals.std(), desc.astype(np.float64).std(),
-        bot_vals[0], bot_vals[1], bot_vals[2],
-        bot_vals.mean(), bot_vals.std(), asc.astype(np.float64).std(),
-    ])
+    # a stable sort keeps tied values in index order
+    desc = np.argsort(-series, axis=-1, kind="stable")[..., :3]
+    asc = np.argsort(series, axis=-1, kind="stable")[..., :3]
+    top_vals = np.take_along_axis(series, desc, axis=-1)
+    bot_vals = np.take_along_axis(series, asc, axis=-1)
+    return np.stack([
+        series.std(axis=-1),
+        top_vals[..., 0], top_vals[..., 1], top_vals[..., 2],
+        top_vals.mean(axis=-1), top_vals.std(axis=-1), desc.astype(np.float64).std(axis=-1),
+        bot_vals[..., 0], bot_vals[..., 1], bot_vals[..., 2],
+        bot_vals.mean(axis=-1), bot_vals.std(axis=-1), asc.astype(np.float64).std(axis=-1),
+    ], axis=-1)
 
 
 def build_profiles(
@@ -94,13 +99,12 @@ def build_profiles(
 ) -> list[TemporalProfile]:
     """Profiles for the top-k most shared hashtags with in-range activity."""
     series_map = bucket_share_series(corpus, bucket_range)
-    profiles = []
-    for tag in top_k_hashtags(corpus, top_k):
-        series = series_map.get(tag)
-        if series is None:
-            continue
-        profiles.append(TemporalProfile(tag, series, extract_features(series)))
-    return profiles
+    tags = [tag for tag in top_k_hashtags(corpus, top_k) if tag in series_map]
+    if not tags:
+        return []
+    series = np.stack([series_map[tag] for tag in tags])
+    features = extract_features(series)
+    return [TemporalProfile(tag, s, f) for tag, s, f in zip(tags, series, features)]
 
 
 def standardize(points: np.ndarray) -> np.ndarray:
@@ -112,11 +116,41 @@ def standardize(points: np.ndarray) -> np.ndarray:
     return (points - mean) / std
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_distances(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the columns of two feature-major
+    operands: ``a_t`` is features x m, ``b_t`` features x n, the result m x n.
+
+    One m x n term is built per feature, and the terms are added in the
+    order numpy's pairwise ``sum`` uses over a contiguous axis of up to 128
+    values: in sequence below 8 terms; otherwise 8 partial sums, each later
+    full group of 8 terms added into them, combined as a tree, then the
+    remainder in sequence.  So the result has the bits of
+    ``((a[:, None] - b) ** 2).sum(-1)`` for ``a = a_t.T`` and ``b = b_t.T``,
+    without that expression's m x n x features tensor.
+    """
+    terms = (np.square(a[:, None] - b) for a, b in zip(a_t, b_t))
+    if len(a_t) < 8:
+        total = next(terms)
+    else:
+        p = [next(terms) for _ in range(8)]
+        for _ in range(len(a_t) // 8 - 1):
+            for partial in p:
+                partial += next(terms)
+        # ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)), in place
+        for i, j in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            p[i] += p[j]
+        total = p[0]
+    for term in terms:
+        total += term
+    return total
+
+
+def _kmeans_pp_init(points: np.ndarray, points_t: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
     n = len(points)
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    d2 = _sq_distances(centroids[:1].T, points_t)[0]
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -124,7 +158,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             continue
         r = rng.random() * total
         centroids[i] = points[np.searchsorted(np.cumsum(d2), r)]
-        d2 = np.minimum(d2, ((points - centroids[i]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_distances(centroids[i:i + 1].T, points_t)[0])
     return centroids
 
 
@@ -145,32 +179,40 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> KM
 
     An empty cluster is repaired by reseeding its centroid at the point
     farthest from its assigned centroid; the within-cluster SSE is checked
-    to be non-increasing on every iteration.
+    to be non-increasing on every iteration.  A centroid is the mean of its
+    members, summed in point order as ``members.mean(axis=0)`` sums them.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
         raise ValueError("points must be a non-empty 2-D array")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > len(points):
-        raise ValueError(f"k={k} exceeds number of points {len(points)}")
+    n, f = points.shape
+    if k > n:
+        raise ValueError(f"k={k} exceeds number of points {n}")
+    points_t = np.ascontiguousarray(points.T)
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(points, k, rng)
-    assignment = np.zeros(len(points), dtype=np.int64)
+    centroids = _kmeans_pp_init(points, points_t, k, rng)
+    assignment = np.zeros(n, dtype=np.int64)
     sse_history: list[float] = []
     repairs = 0
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assignment = d2.argmin(axis=1)
-        dist_own = d2[np.arange(len(points)), new_assignment]
-        for c in range(k):
-            if (new_assignment == c).any():
-                continue
-            far = int(dist_own.argmax())
-            centroids[c] = points[far]
-            new_assignment[far] = c
-            dist_own[far] = 0.0
-            repairs += 1
+        d2 = _sq_distances(centroids.T, points_t)
+        new_assignment = d2.argmin(axis=0)
+        dist_own = d2[new_assignment, np.arange(n)]
+        sizes = np.bincount(new_assignment, minlength=k)
+        if not sizes.all():
+            # a repair can empty the cluster it takes its point from
+            for c in range(k):
+                if sizes[c]:
+                    continue
+                far = int(dist_own.argmax())
+                centroids[c] = points[far]
+                sizes[new_assignment[far]] -= 1
+                sizes[c] += 1
+                new_assignment[far] = c
+                dist_own[far] = 0.0
+                repairs += 1
         sse = float(dist_own.sum())
 
         if sse_history and sse > sse_history[-1] * (1 + 1e-12) + 1e-12:
@@ -178,20 +220,21 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> KM
         sse_history.append(sse)
         converged = (new_assignment == assignment).all() and len(sse_history) > 1
         assignment = new_assignment
-        for c in range(k):
-            members = points[assignment == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+        # value j of a point in cluster c goes to bin c * f + j
+        sums = np.bincount((assignment[:, None] * f + np.arange(f)).ravel(),
+                           weights=points.ravel(), minlength=k * f).reshape(k, f)
+        filled = sizes > 0
+        centroids[filled] = sums[filled] / sizes[filled, None]
         if converged:
             break
     return KMeansRun(assignment=assignment, centroids=centroids,
                      sse_history=sse_history, repairs=repairs)
 
 
-def _block_rows(n: int, n_features: int) -> int:
-    """Points per silhouette block: the block's n x features difference
-    tensor stays within SILHOUETTE_BLOCK_BYTES."""
-    return max(1, SILHOUETTE_BLOCK_BYTES // (8 * n * n_features))
+def _block_rows(n: int) -> int:
+    """Points per silhouette block: the block's few live rows x n distance
+    terms stay within SILHOUETTE_BLOCK_BYTES."""
+    return max(1, SILHOUETTE_BLOCK_BYTES // (8 * n * SILHOUETTE_LIVE_ROWS))
 
 
 def silhouette(points: np.ndarray, assignments) -> list[float]:
@@ -207,6 +250,7 @@ def silhouette(points: np.ndarray, assignments) -> list[float]:
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
+    points_t = np.ascontiguousarray(points.T)
     layouts = []
     for assignment in assignments:
         cluster_ids, owner, sizes = np.unique(
@@ -216,9 +260,9 @@ def silhouette(points: np.ndarray, assignments) -> list[float]:
         order = np.argsort(owner, kind="stable")
         layouts.append((order, np.cumsum(sizes)[:-1], owner, sizes))
     scores = np.zeros((len(layouts), n))
-    rows = _block_rows(n, points.shape[1])
+    rows = _block_rows(n)
     for start in range(0, n, rows):
-        dist = np.sqrt(((points[start:start + rows, None] - points) ** 2).sum(axis=-1))
+        dist = np.sqrt(_sq_distances(points_t[:, start:start + rows], points_t))
         for score, (order, cuts, owner, sizes) in zip(scores, layouts):
             # dist[:, order] is not C-contiguous, and its row sums would round
             # differently from a 1-D sum; the copy makes every row contiguous
@@ -252,6 +296,9 @@ def select_k(
         raise ValueError(f"k range must lie within [2, 10], got {ks}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if ks[-1] > len(points):
+        raise ValueError(f"k range reaches {ks[-1]} but there are only {len(points)} "
+                         f"points to cluster; lower --k-max")
     pts = standardize(points)
     if names is None:
         names = [str(i) for i in range(len(pts))]
@@ -278,21 +325,14 @@ def select_k(
     return best
 
 
-def _detrended_lag4_autocorr(series: np.ndarray) -> float:
-    x = np.asarray(series, dtype=np.float64)
-    t = np.arange(len(x))
-    slope, intercept = np.polyfit(t, x, 1)
-    r = x - (slope * t + intercept)
+def _detrended_lag4_autocorr(x: np.ndarray, slope: float, intercept: float) -> float:
+    """Lag-4 autocorrelation of ``x`` less its linear fit."""
+    r = x - (slope * np.arange(len(x)) + intercept)
     denom = (r ** 2).sum()
     # a (near-)perfect linear fit leaves only float noise; call that zero
     if denom <= 1e-12 * max(((x - x.mean()) ** 2).sum(), 1e-300):
         return 0.0
     return float((r[:-4] * r[4:]).sum() / denom)
-
-
-def _slope(series: np.ndarray) -> float:
-    t = np.arange(len(series))
-    return float(np.polyfit(t, np.asarray(series, dtype=np.float64), 1)[0])
 
 
 def label_clusters(
@@ -310,10 +350,12 @@ def label_clusters(
     by_tag = {p.hashtag: p for p in profiles}
     stats: dict[int, list[np.ndarray]] = {}
     for tag, cluster in result.assignment.items():
-        series = by_tag[tag].series
+        series = np.asarray(by_tag[tag].series, dtype=np.float64)
+        # one fit per series: a batched 2-D polyfit rounds differently
+        slope, intercept = np.polyfit(np.arange(len(series)), series, 1)
         row = np.array([
-            _detrended_lag4_autocorr(series),
-            _slope(series),
+            _detrended_lag4_autocorr(series, slope, intercept),
+            slope,
             float(np.max(series)),
         ])
         stats.setdefault(cluster, []).append(row)

@@ -185,6 +185,7 @@ class TestPipelineCommands:
         ("spatial", ["--categories-top-n", "-1"], "categories_top_n must be >= 1"),
         ("drift", ["--learning-rate", "-0.01", "--dimension", "8", "--epochs", "1"],
          "learning rates must be finite and >= 0"),
+        ("temporal", ["--top-k", "5"], "k range reaches 8 but there are only 5 points"),
     ])
     def test_out_of_range_setting_is_an_error(self, tmp_path, capsys,
                                               command, flags, message):

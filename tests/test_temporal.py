@@ -15,6 +15,7 @@ from hashscope.temporal import (
     silhouette,
     standardize,
     _block_rows,
+    _sq_distances,
 )
 
 
@@ -77,6 +78,69 @@ class TestExtractFeatures:
         assert np.allclose(f1[value_slots], f2[value_slots])
 
 
+def reference_extract_features(series):
+    """The per-series lexsort version that ran before features were
+    computed for a stack of series at once; kept as the bit-exact reference."""
+    series = np.asarray(series, dtype=np.float64)
+    idx = np.arange(16)
+    desc = np.lexsort((idx, -series))[:3]
+    asc = np.lexsort((idx, series))[:3]
+    top_vals = series[desc]
+    bot_vals = series[asc]
+    return np.array([
+        series.std(),
+        top_vals[0], top_vals[1], top_vals[2],
+        top_vals.mean(), top_vals.std(), desc.astype(np.float64).std(),
+        bot_vals[0], bot_vals[1], bot_vals[2],
+        bot_vals.mean(), bot_vals.std(), asc.astype(np.float64).std(),
+    ])
+
+
+class TestStackedFeaturesMatchReference:
+    def series_with_ties(self, rng, n):
+        series = rng.random((n, 16))
+        series[::3, 4:9] = series[::3, :1]          # a run of tied values
+        series[1::5] = np.round(series[1::5], 1)    # ties scattered by rounding
+        series[::7] = 1.0                           # every value tied
+        series[2::11, 5:] = 0.0                     # many tied zeros
+        return series / series.sum(axis=1, keepdims=True)
+
+    def test_stack_matches_per_series_lexsort(self):
+        series = self.series_with_ties(np.random.default_rng(31), 500)
+        expected = np.stack([reference_extract_features(s) for s in series])
+        assert np.array_equal(extract_features(series), expected)
+
+    def test_one_series_matches(self):
+        for s in self.series_with_ties(np.random.default_rng(32), 40):
+            assert np.array_equal(extract_features(s), reference_extract_features(s))
+
+    def test_build_profiles_rows_match(self, clustered):
+        _, profiles = clustered
+        for p in profiles:
+            assert np.array_equal(p.features, reference_extract_features(p.series))
+
+
+class TestSqDistances:
+    @pytest.mark.parametrize("n_features", [1, 2, 7, 8, 9, 13, 15, 16, 17, 24, 40])
+    def test_matches_numpy_sum(self, n_features):
+        rng = np.random.default_rng(n_features)
+        # magnitudes spread over six decades, so a changed summation order
+        # shows in the last bits
+        scale = 10.0 ** rng.uniform(-3, 3, n_features)
+        a = rng.normal(size=(6, n_features)) * scale
+        b = rng.normal(size=(300, n_features)) * scale
+        expected = ((a[:, None] - b) ** 2).sum(-1)
+        got = _sq_distances(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+        assert got.shape == (6, 300)
+        assert np.array_equal(got, expected)
+
+    def test_strided_operands(self):
+        rng = np.random.default_rng(33)
+        a = rng.normal(size=(4, 13))
+        b = rng.normal(size=(50, 13))
+        assert np.array_equal(_sq_distances(a.T, b.T), ((a[:, None] - b) ** 2).sum(-1))
+
+
 class TestKMeans:
     def test_two_blobs_recovered_exactly(self):
         points, truth = make_blobs([[0, 0, 0], [10, 10, 10]], 30, 0.5)
@@ -114,6 +178,90 @@ class TestKMeans:
             kmeans(points, 4)
         with pytest.raises(ValueError):
             kmeans(np.zeros((0, 2)), 1)
+
+
+def reference_kmeans(points, k, seed=0, max_iter=300):
+    """The Lloyd loop that ran before the feature-major distance kernel, with
+    its n x k x features difference tensor and per-cluster means; kept as
+    the bit-exact reference.  Returns (assignment, centroids, sse_history,
+    repairs)."""
+    points = np.asarray(points, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    n = len(points)
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centroids[i] = points[rng.integers(n)]
+            continue
+        r = rng.random() * total
+        centroids[i] = points[np.searchsorted(np.cumsum(d2), r)]
+        d2 = np.minimum(d2, ((points - centroids[i]) ** 2).sum(axis=1))
+    assignment = np.zeros(n, dtype=np.int64)
+    sse_history = []
+    repairs = 0
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_assignment = d2.argmin(axis=1)
+        dist_own = d2[np.arange(n), new_assignment]
+        for c in range(k):
+            if (new_assignment == c).any():
+                continue
+            far = int(dist_own.argmax())
+            centroids[c] = points[far]
+            new_assignment[far] = c
+            dist_own[far] = 0.0
+            repairs += 1
+        sse_history.append(float(dist_own.sum()))
+        converged = (new_assignment == assignment).all() and len(sse_history) > 1
+        assignment = new_assignment
+        for c in range(k):
+            members = points[assignment == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+        if converged:
+            break
+    return assignment, centroids, sse_history, repairs
+
+
+class TestKMeansMatchesReference:
+    def assert_matches(self, points, k, seed):
+        run = kmeans(points, k, seed=seed)
+        assignment, centroids, sse_history, repairs = reference_kmeans(points, k, seed)
+        assert np.array_equal(run.assignment, assignment)
+        assert np.array_equal(run.centroids, centroids)
+        assert run.sse_history == sse_history
+        assert run.repairs == repairs
+        return run
+
+    @pytest.mark.parametrize("n_features", [2, 13])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_random_points(self, k, n_features):
+        rng = np.random.default_rng(40 + n_features)
+        points = standardize(rng.normal(size=(120, n_features)) * rng.uniform(0.1, 5, n_features))
+        for seed in range(3):
+            self.assert_matches(points, k, seed)
+
+    @pytest.mark.parametrize("n_features", [2, 13])
+    def test_duplicate_points(self, n_features):
+        rng = np.random.default_rng(50 + n_features)
+        points = rng.normal(size=(90, n_features))
+        points[::3] = points[1]
+        points[::4] = points[2]
+        for k in range(1, 9):
+            self.assert_matches(points, k, seed=k)
+
+    @pytest.mark.parametrize("n_features", [2, 13])
+    def test_empty_cluster_repairs(self, n_features):
+        # three distinct positions: with k > 3, two centroids start on one
+        # position and one of them is left empty
+        rng = np.random.default_rng(60 + n_features)
+        points = rng.normal(size=(3, n_features))[rng.integers(0, 3, 60)]
+        for k in range(4, 9):
+            run = self.assert_matches(points, k, seed=k)
+            assert run.repairs > 0
 
 
 class TestSilhouette:
@@ -236,14 +384,15 @@ class TestSilhouetteMatchesReference:
     def test_n_below_one_block(self):
         rng = np.random.default_rng(25)
         points = rng.normal(size=(40, 13))
-        assert _block_rows(40, 13) > 40
+        assert _block_rows(40) > 40
         self.assert_matches(points, random_assignments(rng, 40, [2, 5, 8]))
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_n_not_a_multiple_of_the_block(self, monkeypatch, rows):
         n, d = 101, 13
-        monkeypatch.setattr(temporal, "SILHOUETTE_BLOCK_BYTES", rows * 8 * n * d)
-        assert _block_rows(n, d) == rows
+        monkeypatch.setattr(temporal, "SILHOUETTE_BLOCK_BYTES",
+                            rows * 8 * n * temporal.SILHOUETTE_LIVE_ROWS)
+        assert _block_rows(n) == rows
         assert rows == 1 or n % rows
         rng = np.random.default_rng(26)
         points = standardize(rng.normal(size=(n, d)))
@@ -295,6 +444,14 @@ class TestSelectK:
             select_k(points, [1, 2], seed=0)
         with pytest.raises(ValueError):
             select_k(points, [], seed=0)
+
+    def test_k_above_point_count_rejected_before_fitting(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("kmeans ran before the k range was checked")
+        monkeypatch.setattr(temporal, "kmeans", no_fit)
+        points, _ = make_blobs([[0] * 5, [50] * 5], 2, 1.0)
+        with pytest.raises(ValueError, match="only 4 points.*--k-max"):
+            select_k(points, range(2, 6), seed=0)
 
     def test_zero_restarts_rejected(self):
         points, _ = make_blobs([[0] * 5, [50] * 5], 10, 1.0)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from .corpus import (
     save_corpus, save_friendships, save_location_categories,
 )
 from .embedding import TrainConfig, TrainingDivergedError
-from .reports import render_stats, report_stats
+from .reports import StatsReport, render_stats, report_stats
 from .synth import SyntheticSpec, SynthesisError, generate_synthetic
 from . import drift as drift_mod
 from . import social as social_mod
@@ -269,14 +271,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_stats(corpus: Corpus, cfg: dict, out_dir: Path) -> list[str]:
-    report = report_stats(corpus, top_k=min(cfg["top_k"], 50))
+# a pipeline that raises one of these is skipped by `all`, not fatal to it
+SKIPPABLE = (ValueError, ArithmeticError, TrainingDivergedError)
+
+
+def _compute_stats(corpus: Corpus, cfg: dict) -> StatsReport:
+    return report_stats(corpus, top_k=min(cfg["top_k"], 50))
+
+
+def _write_stats(report: StatsReport, cfg: dict, out_dir: Path) -> list[str]:
     report.save_json(out_dir / "stats.json")
     print(render_stats(report))
     return ["stats.json"]
 
 
-def _run_temporal(corpus: Corpus, cfg: dict, out_dir: Path) -> list[str]:
+def _compute_temporal(corpus: Corpus, cfg: dict):
     bucket_range = (
         QuarterBucket(cfg["bucket_start_year"], 1),
         QuarterBucket(cfg["bucket_end_year"], 4),
@@ -291,7 +300,11 @@ def _run_temporal(corpus: Corpus, cfg: dict, out_dir: Path) -> list[str]:
         points, range(cfg["k_min"], cfg["k_max"] + 1),
         seed=cfg["seed"], names=names, restarts=cfg["restarts"],
     )
-    result = temporal_mod.label_clusters(result, profiles)
+    return temporal_mod.label_clusters(result, profiles), profiles
+
+
+def _write_temporal(report, cfg: dict, out_dir: Path) -> list[str]:
+    result, profiles = report
     temporal_mod.export_csv(result, profiles, out_dir / "temporal_clusters.csv")
     temporal_mod.export_centroid_series(result, profiles,
                                         out_dir / "temporal_centroids.json")
@@ -300,8 +313,12 @@ def _run_temporal(corpus: Corpus, cfg: dict, out_dir: Path) -> list[str]:
     return ["temporal_clusters.csv", "temporal_centroids.json"]
 
 
-def _run_spatial(corpus: Corpus, cfg: dict, out_dir: Path) -> list[str]:
-    stats = spatial_mod.category_propensity(corpus, cfg["categories_top_n"])
+def _compute_spatial(corpus: Corpus, cfg: dict) -> list[spatial_mod.CategoryStats]:
+    return spatial_mod.category_propensity(corpus, cfg["categories_top_n"])
+
+
+def _write_spatial(stats: list[spatial_mod.CategoryStats], cfg: dict,
+                   out_dir: Path) -> list[str]:
     spatial_mod.export_csv(stats, out_dir / "spatial_propensity.csv")
     for s in stats:
         print(f"spatial: {s.category}: visits {s.visit_share:.3f} "
@@ -309,11 +326,15 @@ def _run_spatial(corpus: Corpus, cfg: dict, out_dir: Path) -> list[str]:
     return ["spatial_propensity.csv"]
 
 
-def _run_drift(corpus: Corpus, cfg: dict, out_dir: Path) -> list[str]:
-    years = _parse_years(cfg, corpus)
-    report = drift_mod.drift_analysis(
-        corpus, years, top_k=cfg["top_k"], config=_train_config(cfg),
+def _compute_drift(corpus: Corpus, cfg: dict) -> drift_mod.DisplacementReport:
+    return drift_mod.drift_analysis(
+        corpus, _parse_years(cfg, corpus), top_k=cfg["top_k"],
+        config=_train_config(cfg),
     )
+
+
+def _write_drift(report: drift_mod.DisplacementReport, cfg: dict,
+                 out_dir: Path) -> list[str]:
     drift_mod.export_csv(report, out_dir / "drift_displacement.csv")
     drift_mod.export_scatter(report, out_dir / "drift_scatter.csv")
     summary = {
@@ -330,23 +351,29 @@ def _run_drift(corpus: Corpus, cfg: dict, out_dir: Path) -> list[str]:
     return ["drift_displacement.csv", "drift_scatter.csv", "drift_summary.json"]
 
 
-def _run_social(corpus: Corpus, cfg: dict, out_dir: Path) -> list[str]:
-    walk_config = _walk_config(cfg)
-    report = social_mod.friendship_eval(corpus, walk_config)
+def _compute_social(corpus: Corpus, cfg: dict) -> social_mod.PredictionReport:
+    return social_mod.friendship_eval(corpus, _walk_config(cfg))
+
+
+def _write_social(report: social_mod.PredictionReport, cfg: dict,
+                  out_dir: Path) -> list[str]:
     social_mod.export_csv(report, out_dir / "social_pairs.csv")
-    social_mod.export_summary(report, walk_config, out_dir / "social_summary.json")
+    social_mod.export_summary(report, _walk_config(cfg), out_dir / "social_summary.json")
     print("social: AUC " + " ".join(
         f"{k}={v:.3f}" for k, v in sorted(report.auc_scores.items())
     ))
     return ["social_pairs.csv", "social_summary.json"]
 
 
+# name -> (compute, write): compute returns the pipeline's report and prints
+# and writes nothing; write puts the report's artifacts in the output
+# directory, prints its stdout line and returns the artifact names
 PIPELINES = {
-    "stats": _run_stats,
-    "temporal": _run_temporal,
-    "spatial": _run_spatial,
-    "drift": _run_drift,
-    "social": _run_social,
+    "stats": (_compute_stats, _write_stats),
+    "temporal": (_compute_temporal, _write_temporal),
+    "spatial": (_compute_spatial, _write_spatial),
+    "drift": (_compute_drift, _write_drift),
+    "social": (_compute_social, _write_social),
 }
 
 
@@ -356,9 +383,66 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = _load_input(args)
-    artifacts = PIPELINES[args.command](corpus, cfg, out_dir)
+    compute, write = PIPELINES[args.command]
+    artifacts = write(compute(corpus, cfg), cfg, out_dir)
     write_manifest(out_dir, args.command, cfg, args.strict, artifacts, started)
     return 0
+
+
+def _outcome(step, *args) -> tuple[object, str | None]:
+    """``(step(*args), None)``, or ``(None, reason)`` if the step failed in a
+    way that skips the pipeline."""
+    try:
+        return step(*args), None
+    except SKIPPABLE as exc:
+        return None, str(exc)
+
+
+def _send_outcome(conn, compute, corpus: Corpus, cfg: dict) -> None:
+    """Body of the forked worker: compute, then send the outcome back."""
+    with conn:
+        conn.send(_outcome(compute, corpus, cfg))
+
+
+@contextmanager
+def _in_worker(compute, corpus: Corpus, cfg: dict):
+    """Yield a function that returns ``_outcome(compute, corpus, cfg)``.
+
+    Where ``os.fork`` exists and this process may run on more than one CPU, the compute starts at once in a worker process created by
+    ``fork``, and the function waits for it.  Elsewhere a worker would only
+    compete with this process, so the function computes in-process when
+    called.  The worker inherits ``corpus`` through the fork, as a ``Process``
+    argument, so the corpus is never pickled; only the outcome comes back
+    pickled.  Forking is safe here because no other thread runs at that
+    point (``hashscope`` pins BLAS to one thread).  A worker that exits without sending one gives a skipping
+    failure, not a wait forever.
+    """
+    one_cpu = not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+    if one_cpu or not hasattr(os, "fork"):
+        yield lambda: _outcome(compute, corpus, cfg)
+        return
+    import multiprocessing
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    worker = context.Process(target=_send_outcome, args=(writer, compute, corpus, cfg))
+    worker.start()
+    writer.close()
+
+    def outcome() -> tuple[object, str | None]:
+        try:
+            return reader.recv()
+        except (EOFError, OSError):
+            worker.join()
+            return None, f"worker process exited with code {worker.exitcode} without a result"
+
+    try:
+        yield outcome
+    except BaseException:
+        worker.terminate()  # its result is no longer wanted
+        raise
+    finally:
+        reader.close()
+        worker.join()
 
 
 def cmd_all(args: argparse.Namespace) -> int:
@@ -371,14 +455,26 @@ def cmd_all(args: argparse.Namespace) -> int:
         corpus = _load_input(args)
     else:
         corpus = generate_synthetic(_spec_from_settings(cfg))
-        artifacts += _save_synthetic(corpus, out_dir / "corpus.jsonl", "corpus")
+    # drift shares nothing with the other pipelines but the corpus, so where
+    # a second CPU is free it trains in a worker while this process saves the
+    # corpus and computes the rest; every report is then written in the usual
+    # order
+    with _in_worker(PIPELINES["drift"][0], corpus, cfg) as drift_outcome:
+        if not args.input:
+            artifacts += _save_synthetic(corpus, out_dir / "corpus.jsonl", "corpus")
+        outcomes = {name: _outcome(compute, corpus, cfg)
+                    for name, (compute, _) in PIPELINES.items() if name != "drift"}
+        outcomes["drift"] = drift_outcome()
     skipped: dict[str, str] = {}
-    for name in ("stats", "temporal", "spatial", "drift", "social"):
-        try:
-            artifacts += PIPELINES[name](corpus, cfg, out_dir)
-        except (ValueError, ArithmeticError, TrainingDivergedError) as exc:
-            print(f"{name}: skipped ({exc})", file=sys.stderr)
-            skipped[name] = str(exc)
+    for name, (_, write) in PIPELINES.items():
+        report, reason = outcomes[name]
+        if reason is None:
+            written, reason = _outcome(write, report, cfg, out_dir)
+        if reason is None:
+            artifacts += written
+        else:
+            print(f"{name}: skipped ({reason})", file=sys.stderr)
+            skipped[name] = reason
     write_manifest(out_dir, "all", cfg, args.strict, artifacts, started, skipped)
     return 1 if skipped else 0
 
@@ -392,8 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "all":
             return cmd_all(args)
         return cmd_pipeline(args)
-    except (ValueError, FileNotFoundError, CorpusFormatError, SynthesisError,
-            ArithmeticError, TrainingDivergedError) as exc:
+    except (FileNotFoundError, CorpusFormatError, SynthesisError) + SKIPPABLE as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,10 @@
 import json
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -205,6 +208,14 @@ class TestPipelineCommands:
             assert str(path).startswith(str(out))
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let `all` see two CPUs, so drift runs in its forked worker on any
+    machine with ``fork``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.usefixtures("two_cpus")
 class TestAllCommand:
     def test_generates_and_runs_every_pipeline(self, tmp_path):
         out = tmp_path / "all"
@@ -285,7 +296,10 @@ class TestAllCommand:
         assert not (out / "temporal_clusters.csv").exists()
 
     def test_numeric_failures_skip_pipeline(self, tmp_path, monkeypatch, capsys):
+        raised_in = tmp_path / "raised_in.pid"
+
         def misalign(*args, **kwargs):
+            raised_in.write_text(str(os.getpid()))
             raise ArithmeticError("alignment not orthogonal: residual 1.000e+00")
 
         monkeypatch.setattr(drift, "procrustes_align", misalign)
@@ -301,6 +315,61 @@ class TestAllCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["skipped"]) == ["drift", "social"]
         assert (out / "spatial_propensity.csv").exists()
+        assert int(raised_in.read_text()) != os.getpid()  # drift's worker raised it
+
+    def test_worker_exit_without_result_skips_drift(self, tmp_path):
+        # run in a subprocess, so a hang is cut off by the timeout
+        posts, friends, locations = small_corpus_files(tmp_path)
+        out = tmp_path / "all"
+        code = ("import os, sys\n"
+                "from hashscope import cli, drift\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "drift.drift_analysis = lambda *args, **kwargs: os._exit(3)\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "all", "--input", str(posts), "--friends",
+             str(friends), "--locations", str(locations), "--strict", "--out", str(out)]
+            + self.FAST, capture_output=True, text=True, env=cli_env(), timeout=300,
+        )
+        reason = "worker process exited with code 3 without a result"
+        assert done.returncode == 1
+        assert done.stderr == f"drift: skipped ({reason})\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["skipped"] == {"drift": reason}
+        for name in ("stats.json", "temporal_clusters.csv", "spatial_propensity.csv",
+                     "social_summary.json"):
+            assert name in manifest["artifacts"]
+        assert not (out / "drift_summary.json").exists()
+
+    def test_unexpected_error_stops_worker(self, tmp_path, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("not a skipping failure")
+
+        # the parent fails while drift's worker is still busy
+        monkeypatch.setattr(drift, "drift_analysis", lambda *args, **kwargs: time.sleep(30))
+        monkeypatch.setattr(social, "friendship_eval", crash)
+        posts, friends, locations = small_corpus_files(tmp_path)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="not a skipping failure"):
+            run_cli(["all", "--input", str(posts), "--friends", str(friends),
+                     "--locations", str(locations), "--out", str(tmp_path / "all")]
+                    + self.FAST)
+        assert time.monotonic() - started < 20  # stopped, not waited for
+        assert multiprocessing.active_children() == []
+
+    def test_corpus_reaches_worker_unpickled(self, tmp_path, monkeypatch):
+        def refuse(self, protocol):
+            raise TypeError("Corpus must not be pickled")
+
+        monkeypatch.setattr(Corpus, "__reduce_ex__", refuse)
+        with pytest.raises(TypeError, match="must not be pickled"):
+            pickle.dumps(Corpus(posts=[]))
+        posts, friends, locations = small_corpus_files(tmp_path)
+        out = tmp_path / "all"
+        code = run_cli(["all", "--input", str(posts), "--friends", str(friends),
+                        "--locations", str(locations), "--out", str(out)] + self.FAST)
+        assert code == 0
+        assert (out / "drift_summary.json").exists()
 
     def test_diverged_training_is_an_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(social, "train", diverge)
@@ -310,6 +379,56 @@ class TestAllCommand:
                         "--walk-length", "5"])
         assert code == 1
         assert "error: non-finite embedding values" in capsys.readouterr().err
+
+
+class TestWhereDriftRuns:
+    """`all` computes drift in a forked worker when the process may use a
+    second CPU, otherwise in-process; the outputs are the same bytes."""
+
+    DRIFT = ["--top-k", "100", "--dimension", "16", "--epochs", "2", "--min-count", "3"]
+
+    @pytest.fixture
+    def drift_pids(self, tmp_path, monkeypatch):
+        """Returns the pids of the processes that ran `drift_analysis`, in
+        call order."""
+        log = tmp_path / "drift.pids"
+        analysis = drift.drift_analysis
+
+        def recording(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return analysis(*args, **kwargs)
+
+        monkeypatch.setattr(drift, "drift_analysis", recording)
+        return lambda: [int(pid) for pid in log.read_text().split()]
+
+    def run(self, tmp_path, monkeypatch, cpus, command, flags):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        tmp_path.mkdir()
+        posts, friends, locations = small_corpus_files(tmp_path)
+        out = tmp_path / "out"
+        code = run_cli([command, "--input", str(posts), "--friends", str(friends),
+                        "--locations", str(locations), "--strict", "--out", str(out)]
+                       + flags)
+        assert code == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_all_forks_with_two_cpus_and_not_with_one(self, tmp_path, monkeypatch,
+                                                      drift_pids):
+        forked = self.run(tmp_path / "two", monkeypatch, {0, 1}, "all",
+                          TestAllCommand.FAST)
+        in_process = self.run(tmp_path / "one", monkeypatch, {0}, "all",
+                              TestAllCommand.FAST)
+        worker, parent = drift_pids()
+        assert worker != os.getpid()
+        assert parent == os.getpid()
+        assert "drift_summary.json" in forked
+        assert forked == in_process
+
+    def test_drift_command_runs_in_process(self, tmp_path, monkeypatch, drift_pids):
+        outputs = self.run(tmp_path / "drift", monkeypatch, {0, 1}, "drift", self.DRIFT)
+        assert drift_pids() == [os.getpid()]
+        assert "drift_summary.json" in outputs
 
 
 class TestStatsReport:
@@ -365,22 +484,39 @@ def test_cli_import_does_not_load_scipy_stats():
 
 
 def test_cli_start_does_not_load_scipy_sparse():
-    # only embedding training needs scipy.sparse; stats, temporal and
-    # spatial never pay for its import
+    # only embedding training needs scipy.sparse and only `all` starts a
+    # worker process; stats, temporal and spatial never pay for the imports
     code = (
         "import sys\n"
         "from hashscope.cli import main\n"
-        "print('after import:', 'scipy.sparse' in sys.modules, file=sys.stderr)\n"
+        "lazy = ['scipy.sparse', 'multiprocessing', 'concurrent.futures.process']\n"
+        "print('after import:', [m for m in lazy if m in sys.modules], file=sys.stderr)\n"
         "try:\n"
         "    main(['--help'])\n"
         "except SystemExit:\n"
         "    pass\n"
-        "print('after --help:', 'scipy.sparse' in sys.modules, file=sys.stderr)\n"
+        "print('after --help:', [m for m in lazy if m in sys.modules], file=sys.stderr)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=cli_env(), check=True)
     assert "usage:" in out.stdout
-    assert out.stderr.splitlines() == ["after import: False", "after --help: False"]
+    assert out.stderr.splitlines() == ["after import: []", "after --help: []"]
+
+
+def test_svd_independent_of_blas_thread_setting():
+    # importing hashscope pins OpenBLAS to one thread whatever the caller set;
+    # a threaded 300x300 SVD gives different last bits than a serial one
+    code = ("import hashlib, hashscope, numpy as np\n"
+            "m = np.random.default_rng(0).standard_normal((300, 300))\n"
+            "parts = np.linalg.svd(m)\n"
+            "print(hashlib.sha256(b''.join(a.tobytes() for a in parts)).hexdigest())\n")
+    digests = {
+        threads: subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True,
+                                env=cli_env(OPENBLAS_NUM_THREADS=threads)).stdout
+        for threads in ("1", "2")
+    }
+    assert digests["1"] and digests["1"] == digests["2"]
 
 
 def test_drift_strict_output_independent_of_blas_threads(tmp_path):

@@ -5,10 +5,15 @@
 # Usage: scripts/strict_equivalence.sh PARENT_REF
 #
 # Runs, once with the source of PARENT_REF and once with the working tree:
-#   - demo: all --seed 1 --strict (the demo corpus, every pipeline);
+#   - demo: all --seed 1 --strict (the demo corpus, every pipeline), then
+#     all --input on the corpus, friends and locations files that run wrote,
+#     so that the JSONL reader feeds every pipeline;
 #   - wide: the wide-cli corpus shape: synth --seed 1 --users 1000
 #     --hashtags 3000 --posts 40000, then stats, temporal --top-k 2000 and
-#     spatial, each --strict, on that corpus.
+#     spatial, each --strict, on that corpus; then the same three on the
+#     corpus converted to CSV by perfbench's jsonl_to_csv (the benchmark's
+#     own conversion, read from the working tree), so that the CSV reader is
+#     diffed too.
 # The working tree is also rerun twice more:
 #   - everything with OPENBLAS_NUM_THREADS=2: hashscope pins OpenBLAS to one
 #     thread whatever the caller sets, and --strict output must not depend on
@@ -46,7 +51,13 @@ hashscope() {
 # for every run
 run_demo() {
     mkdir -p "$2/demo"
-    (cd "$2/demo" && hashscope "$1" all all --seed 1 --strict --out all)
+    (
+        cd "$2/demo"
+        hashscope "$1" all all --seed 1 --strict --out all
+        hashscope "$1" all-input all --input all/corpus.jsonl \
+            --friends all/corpus.friends.csv --locations all/corpus.locations.csv \
+            --seed 1 --strict --out all-input
+    )
 }
 
 run_wide() {
@@ -60,6 +71,15 @@ run_wide() {
         hashscope "$1" temporal temporal "${input[@]}" --top-k 2000 --out wide-temporal
         hashscope "$1" spatial spatial "${input[@]}" \
             --locations wide/corpus.jsonl.locations.csv --out wide-spatial
+        PYTHONPATH="$root/perfbench" PYTHONDONTWRITEBYTECODE=1 python3 -c \
+            'import sys; from pathlib import Path; from workloads import jsonl_to_csv
+jsonl_to_csv(Path(sys.argv[1]), Path(sys.argv[2]))' wide/corpus.jsonl wide/corpus.csv
+        input=(--input wide/corpus.csv --format csv --seed 1 --strict)
+        hashscope "$1" csv-stats stats "${input[@]}" --out wide-csv-stats
+        hashscope "$1" csv-temporal temporal "${input[@]}" --top-k 2000 \
+            --out wide-csv-temporal
+        hashscope "$1" csv-spatial spatial "${input[@]}" \
+            --locations wide/corpus.jsonl.locations.csv --out wide-csv-spatial
     )
 }
 

@@ -1,7 +1,8 @@
 """Post corpus data model, file ingestion, quarter bucketing, and top-k selection.
 
-A corpus is a flat list of posts, each carrying a user id, a UTC timestamp,
-a set of lowercase hashtags, and an optional location id.  Friendships and
+A corpus holds its posts as int-coded columns: per post a user id, a UTC
+timestamp, a location id, and a set of lowercase hashtag ids, with the user,
+hashtag and location names kept once each in string tables.  Friendships and
 location categories ride along as side tables loaded from separate CSV files.
 """
 
@@ -10,12 +11,15 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from collections import Counter
-from dataclasses import dataclass, field
+from array import array
+from collections import Counter, defaultdict
+from collections.abc import Sequence
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import count
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -23,15 +27,14 @@ logger = logging.getLogger(__name__)
 
 MAX_HASHTAGS_PER_POST = 30
 
-JSONL_FIELDS = ("user", "time", "hashtags", "location")
 CSV_HEADER = ["user", "time", "hashtags", "location"]
 FRIENDS_HEADER = ["user_a", "user_b"]
 LOCATIONS_HEADER = ["location", "category"]
 
 EPOCH_YEAR = 1970
 # epoch seconds of the first and the last second of years 1..9999 (UTC)
-MIN_TIME = int(datetime.min.replace(tzinfo=timezone.utc).timestamp())
-MAX_TIME = int(datetime.max.replace(tzinfo=timezone.utc).timestamp())
+MIN_TIME = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+MAX_TIME = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
 
 
 class CorpusFormatError(ValueError):
@@ -92,10 +95,6 @@ def quarter_range(start: QuarterBucket, end: QuarterBucket) -> list[QuarterBucke
     return out
 
 
-def _normalize_hashtags(tags: Iterable[str]) -> frozenset[str]:
-    return frozenset(t.lower() for t in tags)
-
-
 @dataclass(frozen=True)
 class PostRecord:
     """One post: user id, UTC epoch seconds, hashtag set, optional location id."""
@@ -107,7 +106,7 @@ class PostRecord:
 
     def __post_init__(self):
         if not isinstance(self.hashtags, frozenset):
-            object.__setattr__(self, "hashtags", _normalize_hashtags(self.hashtags))
+            object.__setattr__(self, "hashtags", frozenset(t.lower() for t in self.hashtags))
         if len(self.hashtags) > MAX_HASHTAGS_PER_POST:
             raise ValueError(
                 f"post has {len(self.hashtags)} hashtags, cap is {MAX_HASHTAGS_PER_POST}"
@@ -124,48 +123,204 @@ def normalize_friendships(pairs: Iterable[tuple[str, str]]) -> set[tuple[str, st
     return out
 
 
-@dataclass
+class PostColumns(NamedTuple):
+    """Posts as columns.  Post i's hashtags are
+    ``tag_ids[tag_offsets[i]:tag_offsets[i + 1]]``, ascending and distinct;
+    ``tag_names`` is sorted, so ascending ids are ascending names."""
+
+    user_ids: np.ndarray       # int32, into user_names
+    times: np.ndarray          # int64, UTC epoch seconds
+    location_ids: np.ndarray   # int32, into location_names; -1 for none
+    tag_offsets: np.ndarray    # int64, one more than there are posts
+    tag_ids: np.ndarray        # int32, into tag_names
+    user_names: list[str]
+    tag_names: list[str]
+    location_names: list[str]
+
+
+def _csr_rows(offsets: np.ndarray) -> np.ndarray:
+    """The row of each entry of a CSR layout."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def post_columns(user_ids, times, location_ids, tag_offsets, tag_ids,
+                 user_names: list[str], tag_names: list[str],
+                 location_names: list[str]) -> PostColumns:
+    """Columns from hashtag ids into any list of distinct names: the table is
+    sorted and keeps only names in use, each post's ids become ascending and
+    distinct, and a post keeps only its first ``MAX_HASHTAGS_PER_POST``
+    hashtags in name order."""
+    order = sorted(range(len(tag_names)), key=tag_names.__getitem__)
+    rank = np.empty(len(tag_names), dtype=np.int64)
+    rank[order] = np.arange(len(tag_names))
+    ids = rank[np.asarray(tag_ids, dtype=np.int64)]
+    rows = _csr_rows(np.asarray(tag_offsets))
+    by_post = np.lexsort((ids, rows))
+    ids, rows = ids[by_post], rows[by_post]
+    keep = np.ones(len(ids), dtype=bool)
+    keep[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
+    ids, rows = ids[keep], rows[keep]
+    n = len(times)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    keep = np.arange(len(ids)) - offsets[rows] < MAX_HASHTAGS_PER_POST
+    ids, rows = ids[keep], rows[keep]
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    used = np.zeros(len(tag_names), dtype=bool)
+    used[ids] = True
+    return PostColumns(
+        np.array(user_ids, dtype=np.int32), np.array(times, dtype=np.int64),
+        np.array(location_ids, dtype=np.int32), offsets,
+        (np.cumsum(used) - 1)[ids].astype(np.int32), list(user_names),
+        [tag_names[i] for i, u in zip(order, used.tolist()) if u], list(location_names),
+    )
+
+
+def _encode(rows: Iterable[tuple[str, int, Iterable[str], str | None]]) -> PostColumns:
+    """Columns from ``(user, time, hashtags, location)`` rows, each row
+    appended as it comes; users and locations are numbered in order of first
+    appearance."""
+    # name -> id, a new name taking the next id
+    users: dict[str, int] = defaultdict(count().__next__)
+    tags: dict[str, int] = defaultdict(count().__next__)
+    locations: dict[str, int] = defaultdict(count().__next__)
+    user_col, location_col, tag_col = array("i"), array("i"), array("i")
+    time_col, ends = array("q"), array("q", [0])
+    tag_id = tags.__getitem__
+    for user, time, hashtags, location in rows:
+        user_col.append(users[user])
+        time_col.append(time)
+        location_col.append(-1 if location is None else locations[location])
+        tag_col.extend(map(tag_id, hashtags))
+        ends.append(len(tag_col))
+    return post_columns(
+        np.frombuffer(user_col, dtype=np.int32), np.frombuffer(time_col, dtype=np.int64),
+        np.frombuffer(location_col, dtype=np.int32), np.frombuffer(ends, dtype=np.int64),
+        np.frombuffer(tag_col, dtype=np.int32), list(users), list(tags), list(locations),
+    )
+
+
+class PostView(Sequence):
+    """A corpus's posts as a read-only sequence of ``PostRecord``s, each
+    built from the columns when it is read."""
+
+    __slots__ = ("_corpus",)
+
+    def __init__(self, corpus: "Corpus"):
+        self._corpus = corpus
+
+    def __len__(self) -> int:
+        return len(self._corpus.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(len(self)))]
+        if not -len(self) <= index < len(self):
+            raise IndexError("post index out of range")
+        return self._row(index % len(self))
+
+    def _row(self, i: int) -> PostRecord:
+        c = self._corpus
+        lo, hi = c.tag_offsets[i], c.tag_offsets[i + 1]
+        location = int(c.location_ids[i])
+        return PostRecord(
+            c.user_names[c.user_ids[i]], int(c.times[i]),
+            frozenset(c.tag_names[t] for t in c.tag_ids[lo:hi].tolist()),
+            c.location_names[location] if location >= 0 else None,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
 class Corpus:
-    """Posts plus side tables.  Aggregates are computed on first use and
-    cached, since posts do not change after construction."""
+    """Posts as columns (see ``PostColumns``) plus side tables.
 
-    posts: list[PostRecord]
-    users: set[str] = field(default_factory=set)
-    friendships: set[tuple[str, str]] = field(default_factory=set)
-    location_categories: dict[str, str] = field(default_factory=dict)
+    ``Corpus(posts=[PostRecord, ...])`` encodes the rows once; the loaders
+    and the generator pass ``columns`` instead.  ``users`` adds users who have
+    no posts.  Columns do not change after construction, so aggregates are
+    computed on first use and cached.
+    """
 
-    def __post_init__(self):
-        self.users = set(self.users) | {p.user for p in self.posts}
-        self.friendships = normalize_friendships(self.friendships)
+    def __init__(self, posts: Iterable[PostRecord] = (), users: Iterable[str] = (),
+                 friendships: Iterable[tuple[str, str]] = (),
+                 location_categories: dict[str, str] | None = None, *,
+                 columns: PostColumns | None = None):
+        if columns is None:
+            columns = _encode((p.user, p.time, p.hashtags, p.location) for p in posts)
+        (self.user_ids, self.times, self.location_ids, self.tag_offsets, self.tag_ids,
+         self.user_names, self.tag_names, self.location_names) = columns
+        self.users = set(self.user_names)
+        extra = sorted(set(users) - self.users)
+        self.user_names = self.user_names + extra
+        self.users.update(extra)
+        self.friendships = normalize_friendships(friendships)
+        self.location_categories = {} if location_categories is None else location_categories
+
+    @property
+    def posts(self) -> PostView:
+        return PostView(self)
+
+    @cached_property
+    def tags_per_post(self) -> np.ndarray:
+        return np.diff(self.tag_offsets)
+
+    @cached_property
+    def _tag_posts(self) -> np.ndarray:
+        """The post of each entry of ``tag_ids``."""
+        return _csr_rows(self.tag_offsets)
+
+    def _entries(self, rows: np.ndarray) -> np.ndarray:
+        """Indices into ``tag_ids`` of the hashtags of ``rows``, in row order."""
+        lengths = self.tags_per_post[rows]
+        ends = np.cumsum(lengths)
+        return (np.arange(ends[-1] if len(ends) else 0)
+                + np.repeat(self.tag_offsets[rows] - (ends - lengths), lengths))
 
     @cached_property
     def post_quarters(self) -> np.ndarray:
         """Each post's UTC calendar quarter as a ``QuarterBucket.index``."""
-        times = np.fromiter((p.time for p in self.posts), dtype=np.int64,
-                            count=len(self.posts))
-        return times.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64) // 3
+        return self.times.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64) // 3
 
     @cached_property
-    def _posts_by_year(self) -> dict[int, list[PostRecord]]:
-        by_year: dict[int, list[PostRecord]] = {}
-        for i, year in enumerate((self.post_quarters // 4 + EPOCH_YEAR).tolist()):
-            by_year.setdefault(year, []).append(self.posts[i])
-        return by_year
+    def _rows_by_year(self) -> dict[int, np.ndarray]:
+        year = self.post_quarters // 4 + EPOCH_YEAR
+        order = np.argsort(year, kind="stable")
+        years, starts = np.unique(year[order], return_index=True)
+        return dict(zip(years.tolist(), np.split(order, starts[1:])))
 
     def years(self) -> list[int]:
         """The UTC calendar years that have posts, ascending."""
-        return sorted(self._posts_by_year)
+        return sorted(self._rows_by_year)
 
     def posts_in_year(self, year: int) -> list[PostRecord]:
         """Posts of one UTC calendar year, in corpus order; a new list each call."""
-        return list(self._posts_by_year.get(year, ()))
+        rows = self._rows_by_year.get(year)
+        if rows is None:
+            return []
+        posts = self.posts
+        return [posts[i] for i in rows.tolist()]
+
+    def year_sentences(self, year: int) -> list[list[str]]:
+        """The sorted hashtags of each post of one UTC year that has at least
+        two, in corpus order."""
+        rows = self._rows_by_year.get(year)
+        if rows is None:
+            return []
+        rows = rows[self.tags_per_post[rows] >= 2]
+        names = self.tag_names
+        flat = [names[t] for t in self.tag_ids[self._entries(rows)].tolist()]
+        ends = np.cumsum(self.tags_per_post[rows]).tolist()
+        return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     @cached_property
     def _share_counts(self) -> Counter:
-        counts: Counter = Counter()
-        for p in self.posts:
-            counts.update(p.hashtags)
-        return counts
+        counts = np.bincount(self.tag_ids, minlength=len(self.tag_names))
+        return Counter(dict(zip(self.tag_names, counts.tolist())))
 
     def share_counts(self) -> Counter:
         """Total share count per hashtag (one per post occurrence); a new
@@ -173,27 +328,81 @@ class Corpus:
         return self._share_counts.copy()
 
     @cached_property
+    def _user_tag_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct (user id, hashtag id) shares, by user then hashtag, and
+        how often each was shared."""
+        n_tags = max(len(self.tag_names), 1)
+        keys = self.user_ids[self._tag_posts].astype(np.int64) * n_tags + self.tag_ids
+        keys, counts = np.unique(keys, return_counts=True)
+        return keys // n_tags, keys % n_tags, counts
+
+    @cached_property
     def user_tag_counts(self) -> dict[str, Counter]:
         """How often each user shared each hashtag.  Users who never shared
-        one are absent.  Shared cache: read, do not modify."""
-        counts: dict[str, Counter] = {}
-        for p in self.posts:
-            if p.hashtags:
-                counts.setdefault(p.user, Counter()).update(p.hashtags)
-        return counts
+        one are absent; the rest are in order of their first share.  Shared
+        cache: read, do not modify."""
+        users, tags, counts = self._user_tag_pairs
+        sharers, first = np.unique(self.user_ids[self._tag_posts], return_index=True)
+        ordered = sharers[np.argsort(first)]
+        los = np.searchsorted(users, ordered).tolist()
+        his = np.searchsorted(users, ordered, side="right").tolist()
+        names, tags, counts = self.tag_names, tags.tolist(), counts.tolist()
+        return {
+            self.user_names[u]: Counter(dict(zip([names[t] for t in tags[lo:hi]],
+                                                 counts[lo:hi])))
+            for u, lo, hi in zip(ordered.tolist(), los, his)
+        }
 
     def user_hashtags(self) -> dict[str, set[str]]:
         """Distinct hashtags each user has ever shared."""
-        return {u: set(self.user_tag_counts.get(u, ())) for u in self.users}
+        users, tags, _ = self._user_tag_pairs
+        bounds = np.searchsorted(users, np.arange(len(self.user_names) + 1)).tolist()
+        names, tags = self.tag_names, tags.tolist()
+        return {user: {names[t] for t in tags[lo:hi]}
+                for user, lo, hi in zip(self.user_names, bounds, bounds[1:])}
+
+    def users_per_hashtag(self) -> np.ndarray:
+        """How many distinct users shared each hashtag, by hashtag id."""
+        return np.bincount(self._user_tag_pairs[1], minlength=len(self.tag_names))
 
     def sharers_in_year(self, year: int) -> dict[str, Counter]:
         """Per hashtag shared in one UTC year, each user's share count that
         year; users in order of their first share."""
+        rows = self._rows_by_year.get(year)
+        if rows is None:
+            return {}
+        entries = self._entries(rows)
+        n_users = len(self.user_names)
+        keys = (self.tag_ids[entries].astype(np.int64) * n_users
+                + self.user_ids[self._tag_posts[entries]])
+        keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        order = np.lexsort((first, keys // n_users))
         sharers: dict[str, Counter] = {}
-        for p in self._posts_by_year.get(year, ()):
-            for tag in p.hashtags:
-                sharers.setdefault(tag, Counter())[p.user] += 1
+        tag_names, user_names = self.tag_names, self.user_names
+        for key, count in zip(keys[order].tolist(), counts[order].tolist()):
+            tag, user = divmod(key, n_users)
+            per_tag = sharers.get(tag_names[tag])
+            if per_tag is None:
+                per_tag = sharers[tag_names[tag]] = Counter()
+            per_tag[user_names[user]] = count
         return sharers
+
+    def category_counts(self) -> tuple[dict[str, int], dict[str, int]]:
+        """Per location category that has posts: the posts at its locations,
+        and the hashtags attached to those posts."""
+        located = self.location_ids >= 0
+        where = self.location_ids[located]
+        at_location = np.bincount(where, minlength=len(self.location_names)).tolist()
+        tags_at_location = np.bincount(where, minlength=len(self.location_names),
+                                       weights=self.tags_per_post[located]).tolist()
+        visits: dict[str, int] = {}
+        instances: dict[str, int] = {}
+        for name, v, h in zip(self.location_names, at_location, tags_at_location):
+            category = self.location_categories.get(name)
+            if category is not None and v:
+                visits[category] = visits.get(category, 0) + v
+                instances[category] = instances.get(category, 0) + int(h)
+        return visits, instances
 
 
 def _parse_time(value, line: int) -> int:
@@ -210,19 +419,20 @@ def _parse_time(value, line: int) -> int:
     return time
 
 
-def _make_post(user, time_val, tags, location, line: int) -> PostRecord:
+def _checked_row(user, time_val, hashtags: set[str], location,
+                 line: int) -> tuple[str, int, set[str], str | None]:
+    """``(user, time, hashtags, location)`` of one input row; ``hashtags``
+    are lowercased, distinct and non-empty."""
     if not isinstance(user, str) or not user:
         raise CorpusFormatError(f"invalid user id {user!r}", line)
-    hashtags = _normalize_hashtags(tags)
     if len(hashtags) > MAX_HASHTAGS_PER_POST:
         raise CorpusFormatError(
             f"post has {len(hashtags)} hashtags, cap is {MAX_HASHTAGS_PER_POST}", line
         )
-    loc = location if location else None
-    return PostRecord(user=user, time=_parse_time(time_val, line), hashtags=hashtags, location=loc)
+    return user, _parse_time(time_val, line), hashtags, location or None
 
 
-def _iter_jsonl_posts(path: Path):
+def _iter_jsonl_rows(path: Path):
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -240,10 +450,18 @@ def _iter_jsonl_posts(path: Path):
             tags = obj["hashtags"]
             if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
                 raise CorpusFormatError("hashtags must be an array of strings", lineno)
-            yield _make_post(obj["user"], obj["time"], tags, obj.get("location"), lineno)
+            # the CSV format separates hashtags with ';', so no hashtag may hold one
+            if any(";" in t for t in tags):
+                raise CorpusFormatError("hashtags must not contain ';'", lineno)
+            location = obj.get("location")
+            if location is not None and not isinstance(location, str):
+                raise CorpusFormatError("location must be a string or null", lineno)
+            hashtags = {t.lower() for t in tags}
+            hashtags.discard("")  # dropped, as the CSV reader drops empty fields
+            yield _checked_row(obj["user"], obj["time"], hashtags, location, lineno)
 
 
-def _iter_csv_posts(path: Path):
+def _iter_csv_rows(path: Path):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -258,8 +476,37 @@ def _iter_csv_posts(path: Path):
             if len(row) != 4:
                 raise CorpusFormatError(f"expected 4 columns, got {len(row)}", lineno)
             user, time_val, tag_field, location = row
-            tags = [t for t in tag_field.split(";") if t]
-            yield _make_post(user, time_val, tags, location, lineno)
+            hashtags = set(tag_field.lower().split(";"))
+            hashtags.discard("")
+            yield _checked_row(user, time_val, hashtags, location, lineno)
+
+
+def _warn_duplicates(corpus: Corpus) -> None:
+    """Log each post that repeats an earlier one exactly."""
+    n = len(corpus.times)
+    if n < 2:
+        return
+    keys = (corpus.tags_per_post, corpus.location_ids, corpus.times, corpus.user_ids)
+    order = np.lexsort(keys)  # stable: equal keys stay in corpus order
+    same = np.ones(n - 1, dtype=bool)
+    for key in keys:
+        ranked = key[order]
+        same &= ranked[1:] == ranked[:-1]
+    if not same.any():
+        return
+    group = np.cumsum(np.concatenate([[True], ~same]))
+    shared = np.bincount(group)[group] > 1
+    seen: set[tuple] = set()
+    repeats = []
+    offsets, tag_ids = corpus.tag_offsets, corpus.tag_ids
+    for g, row in zip(group[shared].tolist(), order[shared].tolist()):
+        key = (g, tuple(tag_ids[offsets[row]:offsets[row + 1]].tolist()))
+        if key in seen:
+            repeats.append(row)
+        seen.add(key)
+    for row in sorted(repeats):
+        logger.warning("duplicate post for user %s at time %d",
+                       corpus.user_names[corpus.user_ids[row]], corpus.times[row])
 
 
 def load_corpus(
@@ -278,51 +525,51 @@ def load_corpus(
     if not path.exists():
         raise FileNotFoundError(f"no such corpus file: {path}")
     if format == "jsonl":
-        post_iter = _iter_jsonl_posts(path)
+        rows = _iter_jsonl_rows(path)
     elif format == "csv":
-        post_iter = _iter_csv_posts(path)
+        rows = _iter_csv_rows(path)
     else:
         raise CorpusFormatError(f"unknown format {format!r}, expected 'jsonl' or 'csv'")
-
-    posts: list[PostRecord] = []
-    seen: set[PostRecord] = set()
-    for post in post_iter:
-        if post in seen:
-            logger.warning("duplicate post for user %s at time %d", post.user, post.time)
-        seen.add(post)
-        posts.append(post)
+    columns = _encode(rows)
 
     friendships = load_friendships(friendships_path) if friendships_path else set()
     categories = load_location_categories(locations_path) if locations_path else {}
-    return Corpus(posts=posts, friendships=friendships, location_categories=categories)
+    corpus = Corpus(columns=columns, friendships=friendships,
+                    location_categories=categories)
+    _warn_duplicates(corpus)
+    return corpus
+
+
+def _rows_for_saving(corpus: Corpus, quote):
+    """Per post: user, time, its hashtag names and its location (None for
+    none), each name passed once through ``quote``."""
+    users = [quote(u) for u in corpus.user_names]
+    locations = [quote(loc) for loc in corpus.location_names] + [None]  # id -1: none
+    tag_names = [quote(t) for t in corpus.tag_names]
+    tags = [tag_names[t] for t in corpus.tag_ids.tolist()]
+    bounds = corpus.tag_offsets.tolist()
+    for user, time, start, stop, location in zip(
+            corpus.user_ids.tolist(), corpus.times.tolist(),
+            bounds, bounds[1:], corpus.location_ids.tolist()):
+        yield users[user], time, tags[start:stop], locations[location]
 
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:
     """Write posts to disk; hashtags are emitted sorted for byte-stable output."""
     path = Path(path)
     if format == "jsonl":
+        # each name is JSON-encoded once; the rows read as json.dumps would
+        # write {"user": ..., "time": ..., "hashtags": [...], "location": ...}
         with open(path, "w", encoding="utf-8") as fh:
-            for p in corpus.posts:
-                fh.write(
-                    json.dumps(
-                        {
-                            "user": p.user,
-                            "time": p.time,
-                            "hashtags": sorted(p.hashtags),
-                            "location": p.location,
-                        },
-                        sort_keys=False,
-                    )
-                )
-                fh.write("\n")
+            for user, time, tags, location in _rows_for_saving(corpus, json.dumps):
+                fh.write(f'{{"user": {user}, "time": {time}, "hashtags": '
+                         f'[{", ".join(tags)}], "location": {location or "null"}}}\n')
     elif format == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for p in corpus.posts:
-                writer.writerow(
-                    [p.user, p.time, ";".join(sorted(p.hashtags)), p.location or ""]
-                )
+            writer.writerows([user, time, ";".join(tags), location or ""]
+                             for user, time, tags, location in _rows_for_saving(corpus, str))
     else:
         raise ValueError(f"unknown format {format!r}")
 
@@ -389,22 +636,17 @@ def bucket_share_series(
     2012 Q1 through 2015 Q4.
     """
     n = len(quarter_range(*bucket_range))
-    counts: dict[str, np.ndarray] = {}
-    in_range_posts = 0
-    for pos, post in zip((corpus.post_quarters - bucket_range[0].index).tolist(),
-                         corpus.posts):
-        if not 0 <= pos < n:
-            continue
-        in_range_posts += 1
-        for tag in post.hashtags:
-            vec = counts.get(tag)
-            if vec is None:
-                vec = counts[tag] = np.zeros(n)
-            vec[pos] += 1.0
-    if in_range_posts == 0:
+    pos = corpus.post_quarters - bucket_range[0].index
+    in_range = (pos >= 0) & (pos < n)
+    if not in_range.any():
         raise ValueError(f"corpus has no posts within {bucket_range[0]}..{bucket_range[1]}")
-
-    return {tag: vec / vec.sum() for tag, vec in counts.items()}
+    entries = np.flatnonzero(in_range[corpus._tag_posts])
+    # one row per hashtag shared in range, ascending by id
+    tags, row = np.unique(corpus.tag_ids[entries], return_inverse=True)
+    cells = row * n + pos[corpus._tag_posts[entries]]
+    counts = np.bincount(cells, minlength=len(tags) * n).reshape(-1, n).astype(np.float64)
+    counts /= counts.sum(axis=1, keepdims=True)
+    return dict(zip([corpus.tag_names[t] for t in tags.tolist()], counts))
 
 
 def top_k_hashtags(corpus: Corpus, k: int) -> list[str]:

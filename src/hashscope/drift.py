@@ -118,22 +118,19 @@ def pearson(x, y) -> float:
     return float((xc * yc).sum() / math.sqrt(vx * vy))
 
 
-def yearly_sentences(corpus: Corpus, year: int) -> list[list[str]]:
-    """Each post's hashtag set as one sentence, sorted for determinism."""
-    return [sorted(p.hashtags) for p in corpus.posts_in_year(year) if len(p.hashtags) >= 2]
-
-
 def train_yearly(corpus: Corpus, years: list[int],
                  config: TrainConfig) -> dict[int, EmbeddingTable]:
     """One embedding table per year, all trained with the same config.
 
     The same seed is reused for every year: together with the per-token
     hash initialization this makes identical year slices produce identical
-    tables, so the identical-data control shows zero displacement.
+    tables, so the identical-data control shows zero displacement.  Each
+    post with at least two hashtags is one sentence, its hashtags sorted for
+    determinism.
     """
     tables = {}
     for year in years:
-        sentences = yearly_sentences(corpus, year)
+        sentences = corpus.year_sentences(year)
         if not sentences:
             raise ValueError(f"no multi-hashtag posts in {year}")
         tables[year] = train(sentences, config)

@@ -4,7 +4,6 @@ quarterly adoption series."""
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,23 +71,24 @@ def report_stats(corpus: Corpus, top_k: int = 10) -> StatsReport:
     quarter, the proportion of posts carrying at least one hashtag and the
     proportion of that quarter's active users who attached hashtags.
     """
-    if not corpus.posts:
+    n_posts = len(corpus.posts)
+    if n_posts == 0:
         raise ValueError("empty corpus")
     counts = corpus.share_counts()
-    hist = Counter(len(post.hashtags) for post in corpus.posts)
-    tag_users = Counter(tag for per_user in corpus.user_tag_counts.values()
-                        for tag in per_user)
+    hist = np.bincount(corpus.tags_per_post).tolist()
 
     first = int(corpus.post_quarters.min())
     quarters = quarter_range(QuarterBucket.from_index(first),
                              QuarterBucket.from_index(corpus.post_quarters.max()))
-    pos = (corpus.post_quarters - first).tolist()
-    tagged = [qi for qi, post in zip(pos, corpus.posts) if post.hashtags]
-    active = {(qi, post.user) for qi, post in zip(pos, corpus.posts)}
-    sharing = {(qi, post.user) for qi, post in zip(pos, corpus.posts) if post.hashtags}
+    pos = corpus.post_quarters - first
+    tagged = corpus.tags_per_post > 0
+    # distinct (quarter, user) pairs: each quarter's active and sharing users
+    n_user_ids = len(corpus.user_names)
+    active = pos * n_user_ids + corpus.user_ids
     posts_q, tagged_q, users_q, sharing_q = (
         np.bincount(q, minlength=len(quarters))
-        for q in (pos, tagged, [qi for qi, _ in active], [qi for qi, _ in sharing]))
+        for q in (pos, pos[tagged], np.unique(active) // n_user_ids,
+                  np.unique(active[tagged]) // n_user_ids))
 
     adoption = []
     for i, q in enumerate(quarters):
@@ -101,16 +101,15 @@ def report_stats(corpus: Corpus, top_k: int = 10) -> StatsReport:
             "user_proportion": float(sharing_q[i] / users_q[i]),
         })
 
-    n_posts = len(corpus.posts)
     return StatsReport(
         n_posts=n_posts,
         n_users=len(corpus.users),
         n_hashtags=len(counts),
         n_hashtag_instances=int(sum(counts.values())),
         n_friendships=len(corpus.friendships),
-        hashtag_count_histogram={k: hist[k] / n_posts for k in sorted(hist)},
+        hashtag_count_histogram={k: n / n_posts for k, n in enumerate(hist) if n},
         share_count_bins=_log_bins(list(counts.values())),
-        user_count_bins=_log_bins(list(tag_users.values())),
+        user_count_bins=_log_bins(corpus.users_per_hashtag().tolist()),
         top_hashtags=[(t, int(counts[t])) for t in top_k_hashtags(corpus, top_k)],
         adoption=adoption,
     )

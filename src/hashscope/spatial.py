@@ -34,16 +34,7 @@ def category_propensity(corpus: Corpus, categories_top_n: int | None = None) -> 
     """
     if categories_top_n is not None and categories_top_n < 1:
         raise ValueError(f"categories_top_n must be >= 1, got {categories_top_n}")
-    visits: dict[str, int] = {}
-    instances: dict[str, int] = {}
-    for post in corpus.posts:
-        if post.location is None:
-            continue
-        category = corpus.location_categories.get(post.location)
-        if category is None:
-            continue
-        visits[category] = visits.get(category, 0) + 1
-        instances[category] = instances.get(category, 0) + len(post.hashtags)
+    visits, instances = corpus.category_counts()
     if not visits:
         raise ValueError("corpus has no posts at category-mapped locations")
     total_visits = sum(visits.values())

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .corpus import Corpus, PostRecord, MAX_HASHTAGS_PER_POST
+from .corpus import Corpus, MAX_HASHTAGS_PER_POST, post_columns
 
 TEMPORAL_CLASSES = ("periodic", "rising", "stable", "meteor")
 
@@ -297,7 +297,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
     rng = np.random.default_rng(spec.seed)
 
     pool = spec.pool_tags()
-    pool_arr = np.array(pool)
     n_pool = len(pool)
     n_comm = spec.n_communities
     tag_comm = np.arange(n_pool) % n_comm
@@ -356,7 +355,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
         m_comm = sizes.copy()
     m_glob = sizes - m_comm
 
-    post_tags: list[list[str]] = [[] for _ in range(n)]
+    # each post's hashtags as indices into spec.all_tags(), repeats allowed
+    post_tags: list[list[int]] = [[] for _ in range(n)]
     log_zipf = np.log(zipf)
 
     # synonym pairs: a drawn pair member is re-rolled uniformly between the
@@ -386,7 +386,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
                     reroll = paired & (rng.random(len(chosen)) < spec.pair_affinity)
                     flip = reroll & (rng.random(len(chosen)) < 0.5)
                     chosen = np.where(flip, partner_idx[chosen], chosen)
-                post_tags[rows[i]] = [pool[j] for j in chosen]
+                post_tags[rows[i]] = chosen.tolist()
 
     # global-pool draws (cross-community noise), grouped by quarter
     if n_comm > 1:
@@ -397,13 +397,13 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
             w = log_zipf + np.log(profiles[:, q])
             want = np.minimum(m_glob[rows], n_pool)
             for row, picks in zip(rows, _gumbel_top_m(rng, w, want)):
-                post_tags[row].extend(pool_arr[picks])
+                post_tags[row].extend(picks.tolist())
 
     # drifted-hashtag injection: owner-dominated, community-bound per period
     drift_year = spec.effective_drift_year
     user_names = spec.user_names()
     name_to_idx = {u: i for i, u in enumerate(user_names)}
-    for tag in spec.drifted_tags():
+    for d, tag in enumerate(spec.drifted_tags()):
         before_c, after_c = spec.drift_communities(tag)
         owner_b, owner_a = spec.drift_owners(tag)
         before = post_year < drift_year
@@ -415,37 +415,26 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
                      np.where(in_comm, DRIFT_COMM_RATE, 0.0))
         hits = np.flatnonzero(has_tags & (rng.random(n) < p))
         for row in hits:
-            post_tags[row].append(tag)
+            post_tags[row].append(n_pool + d)
 
-    names = spec.user_names()
     loc_names = [f"loc{i:04d}" for i in range(n_cat * LOCATIONS_PER_CATEGORY)]
     location_categories = {
         loc_names[i]: CATEGORIES[i // LOCATIONS_PER_CATEGORY]
         for i in range(len(loc_names))
     } if spec.located_rate > 0 else {}
 
-    order = np.lexsort((post_user, post_ts))
-    posts = []
-    for i in order:
-        tags = frozenset(post_tags[i])
-        if len(tags) > MAX_HASHTAGS_PER_POST:
-            tags = frozenset(sorted(tags)[:MAX_HASHTAGS_PER_POST])
-        posts.append(
-            PostRecord(
-                user=names[post_user[i]],
-                time=int(post_ts[i]),
-                hashtags=tags,
-                location=loc_names[post_loc_idx[i]] if post_loc_idx[i] >= 0 else None,
-            )
-        )
+    order = np.lexsort((post_user, post_ts)).tolist()
+    lengths = np.fromiter((len(post_tags[i]) for i in order), dtype=np.int64, count=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    flat = np.fromiter((t for i in order for t in post_tags[i]), dtype=np.int64,
+                       count=int(offsets[-1]))
+    columns = post_columns(post_user[order], post_ts[order], post_loc_idx[order], offsets,
+                           flat, user_names, spec.all_tags(), loc_names)
 
     friendships = _sample_friendships(spec, rng, user_comm_all)
-    return Corpus(
-        posts=posts,
-        users=set(names),
-        friendships=friendships,
-        location_categories=location_categories,
-    )
+    return Corpus(columns=columns, friendships=friendships,
+                  location_categories=location_categories)
 
 
 def demo_spec(seed: int = 0) -> SyntheticSpec:

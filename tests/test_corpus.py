@@ -1,5 +1,6 @@
 import json
 import logging
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ import pytest
 from hashscope.corpus import (
     Corpus,
     CorpusFormatError,
+    MAX_HASHTAGS_PER_POST,
     PostRecord,
     QuarterBucket,
     bucket_share_series,
     load_corpus,
     load_friendships,
     load_location_categories,
+    post_columns,
     quarter_range,
     save_corpus,
     save_friendships,
@@ -72,6 +75,7 @@ class TestLoadCorpus:
         ("Infinity", "not a whole number"),
         ("NaN", "not a whole number"),
         ("10000000000000", "outside years 1..9999"),
+        ("253402300800", "outside years 1..9999"),
         ("-62135596801", "outside years 1..9999"),
     ])
     def test_unusable_timestamp_rejected_with_line(self, tmp_path, raw_time, message):
@@ -130,6 +134,32 @@ class TestLoadCorpus:
         corpus = load_corpus(path, format="jsonl")
         assert corpus.posts[0].hashtags == frozenset({"sun"})
 
+    def test_jsonl_non_string_location_rejected_with_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [
+            {"user": "a", "time": 1, "hashtags": [], "location": "123"},
+            {"user": "a", "time": 1, "hashtags": [], "location": 123},
+        ])
+        with pytest.raises(CorpusFormatError, match="line 2: location must be a string"):
+            load_corpus(path, format="jsonl")
+
+    def test_jsonl_empty_hashtag_dropped_as_in_csv(self, tmp_path):
+        jsonl, csv_path = tmp_path / "c.jsonl", tmp_path / "c.csv"
+        write_jsonl(jsonl, [{"user": "a", "time": 1, "hashtags": ["", "Sun"]}])
+        csv_path.write_text("user,time,hashtags,location\na,1,;Sun,\n")
+        for corpus in (load_corpus(jsonl, format="jsonl"), load_corpus(csv_path, format="csv")):
+            assert corpus.posts[0].hashtags == frozenset({"sun"})
+            assert corpus.share_counts() == {"sun": 1}
+
+    def test_jsonl_hashtag_with_separator_rejected_with_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [
+            {"user": "a", "time": 1, "hashtags": ["a"]},
+            {"user": "a", "time": 1, "hashtags": ["a;b"]},
+        ])
+        with pytest.raises(CorpusFormatError, match="line 2: .*';'"):
+            load_corpus(path, format="jsonl")
+
     def test_friendship_symmetric_dedup(self, tmp_path):
         posts = tmp_path / "c.jsonl"
         write_jsonl(posts, [{"user": "a", "time": 1, "hashtags": [], "location": None}])
@@ -167,25 +197,31 @@ class TestLoadCorpus:
         assert load_location_categories(lp) == cats
 
 
-class CountingList(list):
-    def __init__(self, items):
-        super().__init__(items)
-        self.scans = 0
+def count_builds(monkeypatch, name: str) -> list:
+    """Make the cached property ``Corpus.<name>`` record each time it is
+    computed; returns the record."""
+    builds = []
+    build = vars(Corpus)[name].func
 
-    def __iter__(self):
-        self.scans += 1
-        return super().__iter__()
+    def counted(self):
+        builds.append(name)
+        return build(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Corpus, name)
+    monkeypatch.setattr(Corpus, name, prop)
+    return builds
 
 
 class TestShareCounts:
     def test_counts_each_occurrence(self, three_post_corpus):
         assert three_post_corpus.share_counts() == {"sun": 2, "sea": 2, "ski": 1}
 
-    def test_second_call_does_not_rescan_posts(self, three_post_corpus):
-        three_post_corpus.posts = CountingList(three_post_corpus.posts)
+    def test_second_call_does_not_rescan_posts(self, three_post_corpus, monkeypatch):
+        builds = count_builds(monkeypatch, "_share_counts")
         first = three_post_corpus.share_counts()
         second = three_post_corpus.share_counts()
-        assert three_post_corpus.posts.scans == 1
+        assert builds == ["_share_counts"]
         assert first == second
 
     def test_callers_cannot_mutate_cache(self, three_post_corpus):
@@ -202,15 +238,19 @@ class TestPostsInYear:
         assert three_post_corpus.posts_in_year(2013) == posts[2:]
         assert three_post_corpus.posts_in_year(2014) == []
 
-    def test_second_call_does_not_rescan_posts(self, three_post_corpus):
-        three_post_corpus.posts = CountingList(three_post_corpus.posts)
+    def test_second_call_does_not_rescan_posts(self, three_post_corpus, monkeypatch):
+        builds = count_builds(monkeypatch, "_rows_by_year")
         first = three_post_corpus.posts_in_year(2012)
         second = three_post_corpus.posts_in_year(2012)
-        assert three_post_corpus.posts.scans == 1
+        assert builds == ["_rows_by_year"]
         assert first == second
-        # every year is grouped in the same single pass
+        # every year is grouped in the same single pass, which the other
+        # per-year aggregates share
         three_post_corpus.posts_in_year(2013)
-        assert three_post_corpus.posts.scans == 1
+        three_post_corpus.sharers_in_year(2012)
+        three_post_corpus.year_sentences(2013)
+        assert three_post_corpus.years() == [2012, 2013]
+        assert builds == ["_rows_by_year"]
 
     def test_callers_cannot_mutate_cache(self, three_post_corpus):
         three_post_corpus.posts_in_year(2012).clear()
@@ -238,7 +278,7 @@ class TestPostQuarters:
 class TestUserTagCounts:
     def test_counts_per_user_and_hashtag(self, three_post_corpus):
         silent = PostRecord("carol", ts(2013), frozenset())
-        corpus = Corpus(posts=three_post_corpus.posts + [silent])
+        corpus = Corpus(posts=list(three_post_corpus.posts) + [silent])
         assert corpus.user_tag_counts == {
             "alice": {"sun": 2, "sea": 1}, "bob": {"sea": 1, "ski": 1}}
 
@@ -260,6 +300,29 @@ class TestUserTagCounts:
         assert list(sharers["h"]) == ["b", "a"]
         assert corpus.sharers_in_year(2012) == {"h": {"a": 1}}
         assert corpus.sharers_in_year(2014) == {}
+
+
+class TestPostColumns:
+    def test_sorted_table_distinct_ids(self):
+        # post 0: "b", "a", "b" again and "c"; post 1: nothing; post 2: "c"
+        columns = post_columns([0, 0, 0], [1, 2, 3], [-1, -1, -1], [0, 4, 4, 5],
+                               [1, 0, 1, 3, 3], ["u"], ["a", "b", "unused", "c"], [])
+        assert columns.tag_names == ["a", "b", "c"]
+        assert columns.tag_offsets.tolist() == [0, 3, 3, 4]
+        assert columns.tag_ids.tolist() == [0, 1, 2, 2]
+        assert columns.tag_ids.dtype == np.int32 and columns.user_ids.dtype == np.int32
+
+    def test_cap_keeps_first_names(self):
+        # post 0 has two hashtags over the cap, given in reverse name order;
+        # post 1 has the last of them, which only post 0 drops
+        cap = MAX_HASHTAGS_PER_POST
+        names = [f"t{i:02d}" for i in range(cap + 2)]
+        columns = post_columns([0, 0], [1, 2], [-1, -1], [0, cap + 2, cap + 3],
+                               list(reversed(range(cap + 2))) + [cap + 1],
+                               ["u"], names, [])
+        assert columns.tag_names == names[:cap] + [names[cap + 1]]
+        assert columns.tag_offsets.tolist() == [0, cap, cap + 1]
+        assert columns.tag_ids.tolist() == list(range(cap + 1))
 
 
 class TestPostRecord:

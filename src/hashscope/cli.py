@@ -408,14 +408,15 @@ def _send_outcome(conn, compute, corpus: Corpus, cfg: dict) -> None:
 def _in_worker(compute, corpus: Corpus, cfg: dict):
     """Yield a function that returns ``_outcome(compute, corpus, cfg)``.
 
-    Where ``os.fork`` exists and this process may run on more than one CPU, the compute starts at once in a worker process created by
-    ``fork``, and the function waits for it.  Elsewhere a worker would only
-    compete with this process, so the function computes in-process when
-    called.  The worker inherits ``corpus`` through the fork, as a ``Process``
-    argument, so the corpus is never pickled; only the outcome comes back
-    pickled.  Forking is safe here because no other thread runs at that
-    point (``hashscope`` pins BLAS to one thread).  A worker that exits without sending one gives a skipping
-    failure, not a wait forever.
+    Where ``os.fork`` exists and this process may run on more than one CPU,
+    the compute starts at once in a worker process created by ``fork``, and
+    the function waits for it.  Elsewhere a worker would only compete with
+    this process, so the function computes in-process when called.  The
+    worker inherits ``corpus`` through the fork, as a ``Process`` argument,
+    so the corpus is never pickled; only the outcome comes back pickled.
+    Forking is safe here because no other thread runs at that point
+    (``hashscope`` pins BLAS to one thread).  A worker that exits without
+    sending one gives a skipping failure, not a wait forever.
     """
     one_cpu = not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
     if one_cpu or not hasattr(os, "fork"):

@@ -12,7 +12,7 @@ import csv
 import json
 import logging
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -318,17 +318,18 @@ class Corpus:
         return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     @cached_property
-    def _share_counts(self) -> Counter:
+    def _share_counts(self) -> np.ndarray:
         counts = np.bincount(self.tag_ids, minlength=len(self.tag_names))
-        return Counter(dict(zip(self.tag_names, counts.tolist())))
+        counts.flags.writeable = False
+        return counts
 
-    def share_counts(self) -> Counter:
-        """Total share count per hashtag (one per post occurrence); a new
-        Counter each call."""
-        return self._share_counts.copy()
+    def share_counts(self) -> np.ndarray:
+        """Total share count per hashtag id (one per post occurrence); one
+        cached read-only array."""
+        return self._share_counts
 
     @cached_property
-    def _user_tag_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def user_tag_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct (user id, hashtag id) shares, by user then hashtag, and
         how often each was shared."""
         n_tags = max(len(self.tag_names), 1)
@@ -336,26 +337,9 @@ class Corpus:
         keys, counts = np.unique(keys, return_counts=True)
         return keys // n_tags, keys % n_tags, counts
 
-    @cached_property
-    def user_tag_counts(self) -> dict[str, Counter]:
-        """How often each user shared each hashtag.  Users who never shared
-        one are absent; the rest are in order of their first share.  Shared
-        cache: read, do not modify."""
-        users, tags, counts = self._user_tag_pairs
-        sharers, first = np.unique(self.user_ids[self._tag_posts], return_index=True)
-        ordered = sharers[np.argsort(first)]
-        los = np.searchsorted(users, ordered).tolist()
-        his = np.searchsorted(users, ordered, side="right").tolist()
-        names, tags, counts = self.tag_names, tags.tolist(), counts.tolist()
-        return {
-            self.user_names[u]: Counter(dict(zip([names[t] for t in tags[lo:hi]],
-                                                 counts[lo:hi])))
-            for u, lo, hi in zip(ordered.tolist(), los, his)
-        }
-
     def user_hashtags(self) -> dict[str, set[str]]:
         """Distinct hashtags each user has ever shared."""
-        users, tags, _ = self._user_tag_pairs
+        users, tags, _ = self.user_tag_pairs
         bounds = np.searchsorted(users, np.arange(len(self.user_names) + 1)).tolist()
         names, tags = self.tag_names, tags.tolist()
         return {user: {names[t] for t in tags[lo:hi]}
@@ -363,29 +347,21 @@ class Corpus:
 
     def users_per_hashtag(self) -> np.ndarray:
         """How many distinct users shared each hashtag, by hashtag id."""
-        return np.bincount(self._user_tag_pairs[1], minlength=len(self.tag_names))
+        return np.bincount(self.user_tag_pairs[1], minlength=len(self.tag_names))
 
-    def sharers_in_year(self, year: int) -> dict[str, Counter]:
-        """Per hashtag shared in one UTC year, each user's share count that
-        year; users in order of their first share."""
-        rows = self._rows_by_year.get(year)
-        if rows is None:
-            return {}
-        entries = self._entries(rows)
+    def sharers_in_year(self, year: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(tag_ids, offsets, counts)``: the hashtags shared in one UTC year,
+        ascending, and hashtag ``tag_ids[i]``'s share count per sharer that
+        year as ``counts[offsets[i]:offsets[i + 1]]``, sharers in order of
+        their first share."""
+        entries = self._entries(self._rows_by_year.get(year, np.zeros(0, dtype=np.int64)))
         n_users = len(self.user_names)
         keys = (self.tag_ids[entries].astype(np.int64) * n_users
                 + self.user_ids[self._tag_posts[entries]])
         keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        order = np.lexsort((first, keys // n_users))
-        sharers: dict[str, Counter] = {}
-        tag_names, user_names = self.tag_names, self.user_names
-        for key, count in zip(keys[order].tolist(), counts[order].tolist()):
-            tag, user = divmod(key, n_users)
-            per_tag = sharers.get(tag_names[tag])
-            if per_tag is None:
-                per_tag = sharers[tag_names[tag]] = Counter()
-            per_tag[user_names[user]] = count
-        return sharers
+        tags = keys // n_users
+        tag_ids, starts = np.unique(tags, return_index=True)
+        return tag_ids, np.append(starts, len(keys)), counts[np.lexsort((first, tags))]
 
     def category_counts(self) -> tuple[dict[str, int], dict[str, int]]:
         """Per location category that has posts: the posts at its locations,
@@ -587,7 +563,12 @@ def load_friendships(path: str | Path) -> set[tuple[str, str]]:
                 continue
             if len(row) != 2:
                 raise CorpusFormatError(f"expected 2 columns, got {len(row)}", lineno)
-            pairs.append((row[0], row[1]))
+            a, b = row
+            if not a or not b:
+                raise CorpusFormatError("invalid user id ''", lineno)
+            if a == b:
+                raise CorpusFormatError(f"self-friendship for user {a!r}", lineno)
+            pairs.append((a, b))
     return normalize_friendships(pairs)
 
 
@@ -653,6 +634,6 @@ def top_k_hashtags(corpus: Corpus, k: int) -> list[str]:
     """Hashtags ordered by descending total share count, ties broken lexically."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    counts = corpus.share_counts()
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return [tag for tag, _ in ordered[:k]]
+    # stable: equal counts stay in id order, which is name order
+    ranked = np.argsort(-corpus.share_counts(), kind="stable")[:k]
+    return [corpus.tag_names[t] for t in ranked.tolist()]

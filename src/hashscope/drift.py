@@ -95,10 +95,11 @@ def hashtag_entropy(corpus: Corpus, hashtag: str, year: int) -> float:
     natural log.  0 means a single sharer; ln(n) means n users sharing
     uniformly.
     """
-    counts = corpus.sharers_in_year(year).get(hashtag)
-    if not counts:
-        raise ValueError(f"hashtag {hashtag!r} unshared in {year}")
-    return entropy_from_counts(counts.values())
+    tags, offsets, counts = corpus.sharers_in_year(year)
+    for i, tag in enumerate(tags.tolist()):
+        if corpus.tag_names[tag] == hashtag:
+            return entropy_from_counts(counts[offsets[i]:offsets[i + 1]])
+    raise ValueError(f"hashtag {hashtag!r} unshared in {year}")
 
 
 def pearson(x, y) -> float:
@@ -159,26 +160,29 @@ def drift_analysis(
         config = TrainConfig()
     tables = train_yearly(corpus, years, config)
 
-    share_order = corpus.share_counts()
+    shares = corpus.share_counts()
     focus = top_k_hashtags(corpus, top_k)
-    focus_set = set(focus)
+    tag_id = {tag: i for i, tag in enumerate(corpus.tag_names)}
+    in_focus = np.zeros(len(shares), dtype=bool)
+    in_focus[[tag_id[t] for t in focus]] = True
 
     single: dict[str, dict[tuple[int, int], float]] = {t: {} for t in focus}
     entropy: dict[tuple[str, int], float] = {}
     frequency: dict[tuple[str, int], int] = {}
 
     for year in years:
-        for tag, counts in corpus.sharers_in_year(year).items():
-            if tag not in focus_set:
-                continue
-            entropy[(tag, year)] = entropy_from_counts(counts.values())
-            frequency[(tag, year)] = int(sum(counts.values()))
+        tags, offsets, counts = corpus.sharers_in_year(year)
+        for i in np.flatnonzero(in_focus[tags]).tolist():
+            key = (corpus.tag_names[tags[i]], year)
+            per_user = counts[offsets[i]:offsets[i + 1]]
+            entropy[key] = entropy_from_counts(per_user)
+            frequency[key] = int(per_user.sum())
 
     for y_a, y_b in zip(years, years[1:]):
         tab_a, tab_b = tables[y_a], tables[y_b]
         # hashtags in both years, most frequent first, ties lexical
         shared = sorted(set(tab_a.vocab.index) & set(tab_b.vocab.index),
-                        key=lambda t: (-share_order.get(t, 0), t))
+                        key=lambda t: (-shares[tag_id[t]], t))
         if not shared:
             raise ValueError(f"no shared vocabulary between {y_a} and {y_b}")
         src = np.stack([tab_a.vector(t) for t in shared], axis=1).astype(np.float64)
@@ -186,7 +190,7 @@ def drift_analysis(
         alignment = procrustes_align(src, dst)
         aligned = alignment.apply(src)
         for col, tag in enumerate(shared):
-            if tag in focus_set:
+            if in_focus[tag_id[tag]]:
                 single[tag][(y_a, y_b)] = cosine_distance(aligned[:, col], dst[:, col])
 
     overall = {

@@ -86,10 +86,6 @@ class EmbeddingTable:
     # with fixed negatives, not a held-out set
     heldout_loss: list[float] = field(default_factory=list)
 
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[1]
-
     def vector(self, token: str) -> np.ndarray:
         return self.vectors[self.vocab.index[token]]
 

@@ -45,11 +45,11 @@ class StatsReport:
             fh.write("\n")
 
 
-def _log_bins(values: list[int]) -> list[dict]:
+def _log_bins(values) -> list[dict]:
     """Histogram over power-of-two count bins [1,2), [2,4), [4,8), ..."""
-    if not values:
-        return []
     arr = np.asarray(values, dtype=np.int64)
+    if not len(arr):
+        return []
     top = int(arr.max())
     edges = [1]
     while edges[-1] <= top:
@@ -105,12 +105,13 @@ def report_stats(corpus: Corpus, top_k: int = 10) -> StatsReport:
         n_posts=n_posts,
         n_users=len(corpus.users),
         n_hashtags=len(counts),
-        n_hashtag_instances=int(sum(counts.values())),
+        n_hashtag_instances=int(counts.sum()),
         n_friendships=len(corpus.friendships),
         hashtag_count_histogram={k: n / n_posts for k, n in enumerate(hist) if n},
-        share_count_bins=_log_bins(list(counts.values())),
-        user_count_bins=_log_bins(corpus.users_per_hashtag().tolist()),
-        top_hashtags=[(t, int(counts[t])) for t in top_k_hashtags(corpus, top_k)],
+        share_count_bins=_log_bins(counts),
+        user_count_bins=_log_bins(corpus.users_per_hashtag()),
+        # the top hashtags come by descending count: theirs are the largest counts
+        top_hashtags=list(zip(top_k_hashtags(corpus, top_k), np.sort(counts)[::-1].tolist())),
         adoption=adoption,
     )
 

@@ -76,28 +76,27 @@ def build_graph(corpus: Corpus) -> BipartiteGraph:
     Users with no hashtags are left out of the graph and listed in
     ``excluded_users``.
     """
-    counts = corpus.user_tag_counts
-    if not counts:
+    pair_users, pair_tags, counts = corpus.user_tag_pairs
+    if not len(counts):
         raise GraphError("corpus has no hashtag-bearing posts")
 
-    users = sorted(counts)
+    sharers = sorted(np.unique(pair_users).tolist(), key=corpus.user_names.__getitem__)
+    users = [corpus.user_names[u] for u in sharers]
     excluded = sorted(corpus.users - set(users))
-    tags = sorted({t for per_user in counts.values() for t in per_user})
-    tag_idx = {t: len(users) + i for i, t in enumerate(tags)}
-
-    # each edge once per direction: user -> tag rows first, then tag -> user;
-    # a stable sort on the source node keeps every row's neighbours ascending
-    u, t, w = np.array([(ui, tag_idx[tag], n) for ui, user in enumerate(users)
-                        for tag, n in sorted(counts[user].items())], dtype=np.int64).T
-    src = np.concatenate([u, t])
-    order = np.argsort(src, kind="stable")
-    offsets = np.zeros(len(users) + len(tags) + 1, dtype=np.int64)
+    # user nodes in name order, then one hashtag node per hashtag id (every
+    # id of the table is shared, so none dangles)
+    node = np.empty(len(corpus.user_names), dtype=np.int64)
+    node[sharers] = np.arange(len(sharers))
+    u, t = node[pair_users], len(users) + pair_tags
+    # each edge once per direction, every row's neighbours ascending
+    src, dst = np.concatenate([u, t]), np.concatenate([t, u])
+    order = np.lexsort((dst, src))
+    offsets = np.zeros(len(users) + len(corpus.tag_names) + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=len(offsets) - 1), out=offsets[1:])
-    neighbors = np.concatenate([t, u])[order]
-    weights = np.concatenate([w, w])[order].astype(np.float64)
+    weights = np.concatenate([counts, counts])[order].astype(np.float64)
     return BipartiteGraph(
-        users=users, hashtags=tags, offsets=offsets,
-        neighbors=neighbors, weights=weights, excluded_users=excluded,
+        users=users, hashtags=list(corpus.tag_names), offsets=offsets,
+        neighbors=dst[order], weights=weights, excluded_users=excluded,
     )
 
 
@@ -154,19 +153,9 @@ def random_walks(graph: BipartiteGraph, config: WalkConfig) -> list[list[str]]:
     return [list(row) for row in names[trace]]
 
 
-@dataclass
-class HashtagProfile:
-    """Learned per-user behavior vectors; hashtag-node vectors are dropped."""
-
-    vectors: dict[str, np.ndarray]
-    dimension: int
-
-    def __contains__(self, user: str) -> bool:
-        return user in self.vectors
-
-
-def learn_profiles(walks: list[list[str]], config: WalkConfig) -> HashtagProfile:
-    """CBOW over walk traces; keeps only the user-node vectors."""
+def learn_profiles(walks: list[list[str]], config: WalkConfig) -> dict[str, np.ndarray]:
+    """CBOW over walk traces; the learned vector of each user node, by user
+    (hashtag-node vectors are dropped)."""
     config.validate()
     if not walks:
         raise ValueError("no walks to learn from")
@@ -183,12 +172,11 @@ def learn_profiles(walks: list[list[str]], config: WalkConfig) -> HashtagProfile
         seed=config.seed,
     )
     table = train(walks, train_config)
-    vectors = {
+    return {
         token[len(USER_PREFIX):]: table.vectors[i]
         for i, token in enumerate(table.vocab.tokens)
         if token.startswith(USER_PREFIX)
     }
-    return HashtagProfile(vectors=vectors, dimension=config.dimension)
 
 
 def baselines(corpus: Corpus, pair: tuple[str, str],
@@ -306,7 +294,7 @@ def friendship_eval(corpus: Corpus, walk_config: WalkConfig | None = None) -> Pr
         raise ValueError("no friend pair has profiles on both sides")
     strangers = sample_strangers(
         corpus, len(usable), seed=walk_config.seed + 1,
-        users=sorted(profiles.vectors),
+        users=sorted(profiles),
     )
 
     user_tags = corpus.user_hashtags()
@@ -316,7 +304,7 @@ def friendship_eval(corpus: Corpus, walk_config: WalkConfig | None = None) -> Pr
             base = baselines(corpus, (a, b), user_tags)
             rows.append(PairScore(
                 user_a=a, user_b=b,
-                distance=cosine_distance(profiles.vectors[a], profiles.vectors[b]),
+                distance=cosine_distance(profiles[a], profiles[b]),
                 label=label,
                 common=base["common"], jaccard=base["jaccard"],
                 preferential=base["preferential"],

@@ -149,7 +149,8 @@ class TestLoadCorpus:
         csv_path.write_text("user,time,hashtags,location\na,1,;Sun,\n")
         for corpus in (load_corpus(jsonl, format="jsonl"), load_corpus(csv_path, format="csv")):
             assert corpus.posts[0].hashtags == frozenset({"sun"})
-            assert corpus.share_counts() == {"sun": 1}
+            assert corpus.tag_names == ["sun"]
+            assert corpus.share_counts().tolist() == [1]
 
     def test_jsonl_hashtag_with_separator_rejected_with_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -170,8 +171,15 @@ class TestLoadCorpus:
 
     def test_self_friendship_rejected(self, tmp_path):
         friends = tmp_path / "f.csv"
-        friends.write_text("user_a,user_b\na,a\n")
-        with pytest.raises(ValueError, match="self-friendship"):
+        friends.write_text("user_a,user_b\na,b\na,a\n")
+        with pytest.raises(CorpusFormatError, match="line 3: self-friendship for user 'a'"):
+            load_friendships(friends)
+
+    @pytest.mark.parametrize("row", ["x,", ",x", ","])
+    def test_empty_friend_id_rejected_with_line(self, tmp_path, row):
+        friends = tmp_path / "f.csv"
+        friends.write_text(f"user_a,user_b\na,b\n{row}\n")
+        with pytest.raises(CorpusFormatError, match="line 3: invalid user id ''"):
             load_friendships(friends)
 
     def test_csv_round_trip(self, tmp_path, three_post_corpus):
@@ -215,20 +223,25 @@ def count_builds(monkeypatch, name: str) -> list:
 
 class TestShareCounts:
     def test_counts_each_occurrence(self, three_post_corpus):
-        assert three_post_corpus.share_counts() == {"sun": 2, "sea": 2, "ski": 1}
+        assert three_post_corpus.tag_names == ["sea", "ski", "sun"]
+        counts = three_post_corpus.share_counts()
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [2, 1, 2]
 
     def test_second_call_does_not_rescan_posts(self, three_post_corpus, monkeypatch):
         builds = count_builds(monkeypatch, "_share_counts")
         first = three_post_corpus.share_counts()
         second = three_post_corpus.share_counts()
         assert builds == ["_share_counts"]
-        assert first == second
+        assert first is second
 
     def test_callers_cannot_mutate_cache(self, three_post_corpus):
         counts = three_post_corpus.share_counts()
-        counts["sun"] += 10
-        del counts["ski"]
-        assert three_post_corpus.share_counts() == {"sun": 2, "sea": 2, "ski": 1}
+        with pytest.raises(ValueError, match="read-only"):
+            counts[2] += 10
+        with pytest.raises(ValueError, match="read-only"):
+            counts.fill(0)
+        assert three_post_corpus.share_counts().tolist() == [2, 1, 2]
 
 
 class TestPostsInYear:
@@ -279,8 +292,13 @@ class TestUserTagCounts:
     def test_counts_per_user_and_hashtag(self, three_post_corpus):
         silent = PostRecord("carol", ts(2013), frozenset())
         corpus = Corpus(posts=list(three_post_corpus.posts) + [silent])
-        assert corpus.user_tag_counts == {
-            "alice": {"sun": 2, "sea": 1}, "bob": {"sea": 1, "ski": 1}}
+        assert corpus.user_names == ["alice", "bob", "carol"]
+        assert corpus.tag_names == ["sea", "ski", "sun"]
+        users, tags, counts = corpus.user_tag_pairs
+        # alice: sea 1, sun 2; bob: sea 1, ski 1; carol shared nothing
+        assert users.tolist() == [0, 0, 1, 1]
+        assert tags.tolist() == [0, 2, 0, 1]
+        assert counts.tolist() == [1, 2, 1, 1]
 
     def test_user_hashtags_covers_every_user(self, three_post_corpus):
         corpus = Corpus(posts=three_post_corpus.posts, users={"dave"})
@@ -289,17 +307,22 @@ class TestUserTagCounts:
 
     def test_sharers_in_year_first_share_order(self):
         posts = [
-            PostRecord("b", ts(2013, 1), frozenset({"h"})),
             PostRecord("a", ts(2012, 6), frozenset({"h"})),
+            PostRecord("b", ts(2013, 1), frozenset({"h"})),
             PostRecord("a", ts(2013, 2), frozenset({"h", "k"})),
             PostRecord("b", ts(2013, 3), frozenset({"h"})),
         ]
         corpus = Corpus(posts=posts)
-        sharers = corpus.sharers_in_year(2013)
-        assert sharers == {"h": {"b": 2, "a": 1}, "k": {"a": 1}}
-        assert list(sharers["h"]) == ["b", "a"]
-        assert corpus.sharers_in_year(2012) == {"h": {"a": 1}}
-        assert corpus.sharers_in_year(2014) == {}
+        assert corpus.user_names == ["a", "b"] and corpus.tag_names == ["h", "k"]
+
+        def sharers(year):
+            return [column.tolist() for column in corpus.sharers_in_year(year)]
+
+        # 2013: "h" by b twice, then a once (b shared it first, though a has
+        # the lower id); "k" by a once
+        assert sharers(2013) == [[0, 1], [0, 2, 3], [2, 1, 1]]
+        assert sharers(2012) == [[0], [0, 1], [1]]
+        assert sharers(2014) == [[], [0], []]
 
 
 class TestPostColumns:

@@ -23,6 +23,7 @@ from hashscope.corpus import (
     load_corpus, quarter_range, save_corpus,
 )
 from hashscope.reports import StatsReport, _log_bins, report_stats
+from hashscope.social import GraphError, build_graph
 from hashscope.spatial import CategoryStats, category_propensity
 
 from conftest import ts
@@ -199,6 +200,31 @@ def row_lists(draw):
     return rows
 
 
+def check_graph(corpus, tag_counts, users):
+    """``build_graph``'s CSR against the reference share counts: users by
+    name, then hashtags by name, every node's neighbours ascending."""
+    if not tag_counts:
+        with pytest.raises(GraphError):
+            build_graph(corpus)
+        return
+    graph = build_graph(corpus)
+    assert graph.users == sorted(tag_counts)
+    assert graph.hashtags == sorted({t for per_user in tag_counts.values() for t in per_user})
+    assert graph.excluded_users == sorted(users - set(tag_counts))
+    user_node = {u: i for i, u in enumerate(graph.users)}
+    tag_node = {t: len(graph.users) + i for i, t in enumerate(graph.hashtags)}
+    rows = [[] for _ in range(graph.n_nodes)]
+    for user, per_user in tag_counts.items():
+        for tag, n in per_user.items():
+            rows[user_node[user]].append((tag_node[tag], n))
+            rows[tag_node[tag]].append((user_node[user], n))
+    rows = [sorted(row) for row in rows]
+    assert graph.offsets.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+    assert graph.neighbors.tolist() == [v for row in rows for v, _ in row]
+    assert graph.weights.dtype == np.float64
+    assert graph.weights.tolist() == [float(n) for row in rows for _, n in row]
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -230,16 +256,23 @@ def test_columnar_aggregates_match_reference(rows, extra_users, categories):
     for year in years + [2000]:
         assert corpus.posts_in_year(year) == ref_posts_in_year(posts, year)
         assert corpus.year_sentences(year) == ref_yearly_sentences(posts, year)
-        sharers = corpus.sharers_in_year(year)
+        tags, offsets, counts = corpus.sharers_in_year(year)
         expected = ref_sharers_in_year(posts, year)
-        assert sharers == expected
-        for tag, per_user in expected.items():
-            assert list(sharers[tag].items()) == list(per_user.items())
-    assert corpus.share_counts() == ref_share_counts(posts)
+        assert [corpus.tag_names[t] for t in tags] == sorted(expected)
+        assert offsets[0] == 0 and len(offsets) == len(tags) + 1
+        for tag, lo, hi in zip(tags.tolist(), offsets.tolist(), offsets[1:].tolist()):
+            # per-user counts in first-share order
+            assert counts[lo:hi].tolist() == list(expected[corpus.tag_names[tag]].values())
+    assert dict(zip(corpus.tag_names, corpus.share_counts().tolist())) == ref_share_counts(posts)
     tag_counts = ref_user_tag_counts(posts)
-    assert corpus.user_tag_counts == tag_counts
-    assert list(corpus.user_tag_counts) == list(tag_counts)
+    pair_users, pair_tags, pair_counts = corpus.user_tag_pairs
+    pairs = list(zip(pair_users.tolist(), pair_tags.tolist()))
+    assert pairs == sorted(set(pairs))
+    assert {(corpus.user_names[u], corpus.tag_names[t]): n
+            for (u, t), n in zip(pairs, pair_counts.tolist())} == {
+        (user, tag): n for user, per_user in tag_counts.items() for tag, n in per_user.items()}
     assert corpus.user_hashtags() == {u: set(tag_counts.get(u, ())) for u in users}
+    check_graph(corpus, tag_counts, users)
 
     for bucket_range in ((QuarterBucket(2012, 1), QuarterBucket(2015, 4)),
                          (QuarterBucket(1, 1), QuarterBucket(1, 2)),

@@ -51,7 +51,7 @@ class TestBuildGraph:
         assert graph.users == ["active"]
         assert graph.excluded_users == ["silent"]
 
-    def test_total_weight_equals_hashtag_instances(self):
+    def test_edge_weights_sum_to_hashtag_instances(self):
         corpus = generate_synthetic(SyntheticSpec(users=50, hashtags=80,
                                                   posts=3000, seed=1))
         graph = build_graph(corpus)
@@ -158,10 +158,10 @@ class TestLearnProfiles:
                             context_radius=5, epochs=5, learning_rate=0.05, seed=2)
         profiles = learn_profiles(random_walks(graph, config), config)
         intra, inter = [], []
-        users = sorted(profiles.vectors)
+        users = sorted(profiles)
         for i, u in enumerate(users):
             for v in users[i + 1:]:
-                d = cosine_distance(profiles.vectors[u], profiles.vectors[v])
+                d = cosine_distance(profiles[u], profiles[v])
                 (intra if u[0] == v[0] else inter).append(d)
         assert np.mean(intra) < np.mean(inter)
 
@@ -179,7 +179,7 @@ class TestLearnProfiles:
                                    min_count=1, seed=3)
         vocab = build_vocab(walks, 1)
         init = init_vectors(vocab, train_config)
-        for user, vec in profiles.vectors.items():
+        for user, vec in profiles.items():
             assert np.array_equal(vec, init[vocab.index["u:" + user]])
 
     def test_deterministic(self):
@@ -190,8 +190,8 @@ class TestLearnProfiles:
         walks = random_walks(graph, config)
         p1 = learn_profiles(walks, config)
         p2 = learn_profiles(walks, config)
-        for user in p1.vectors:
-            assert np.array_equal(p1.vectors[user], p2.vectors[user])
+        for user in p1:
+            assert np.array_equal(p1[user], p2[user])
 
     def test_hashtag_vectors_dropped(self):
         corpus = two_community_corpus()
@@ -199,7 +199,7 @@ class TestLearnProfiles:
         config = WalkConfig(walk_times=2, walk_length=6, dimension=8,
                             context_radius=3, epochs=1, seed=1)
         profiles = learn_profiles(random_walks(graph, config), config)
-        assert set(profiles.vectors) == set(graph.users)
+        assert set(profiles) == set(graph.users)
 
 
 class TestBaselines:

@@ -78,7 +78,7 @@ class TestPlantedTemporal:
     def test_heavy_tailed_frequencies(self):
         corpus = generate_synthetic(SyntheticSpec(users=60, hashtags=200,
                                                   posts=10000, seed=4))
-        counts = sorted(corpus.share_counts().values(), reverse=True)
+        counts = sorted(corpus.share_counts().tolist(), reverse=True)
         assert counts[0] >= 5 * counts[len(counts) // 2]
 
 

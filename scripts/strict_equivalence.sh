@@ -7,7 +7,9 @@
 # Runs, once with the source of PARENT_REF and once with the working tree:
 #   - demo: all --seed 1 --strict (the demo corpus, every pipeline), then
 #     all --input on the corpus, friends and locations files that run wrote,
-#     so that the JSONL reader feeds every pipeline;
+#     so that the JSONL reader feeds every pipeline, then the standalone
+#     drift and social commands on those files, which train in their own
+#     process and never in the worker that `all` forks for drift;
 #   - wide: the wide-cli corpus shape: synth --seed 1 --users 1000
 #     --hashtags 3000 --posts 40000, then stats, temporal --top-k 2000 and
 #     spatial, each --strict, on that corpus; then the same three on the
@@ -57,6 +59,9 @@ run_demo() {
         hashscope "$1" all-input all --input all/corpus.jsonl \
             --friends all/corpus.friends.csv --locations all/corpus.locations.csv \
             --seed 1 --strict --out all-input
+        hashscope "$1" drift drift --input all/corpus.jsonl --seed 1 --strict --out drift
+        hashscope "$1" social social --input all/corpus.jsonl \
+            --friends all/corpus.friends.csv --seed 1 --strict --out social
     )
 }
 

@@ -138,6 +138,11 @@ class PostColumns(NamedTuple):
     location_names: list[str]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _csr_rows(offsets: np.ndarray) -> np.ndarray:
     """The row of each entry of a CSR layout."""
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
@@ -242,8 +247,8 @@ class Corpus:
 
     ``Corpus(posts=[PostRecord, ...])`` encodes the rows once; the loaders
     and the generator pass ``columns`` instead.  ``users`` adds users who have
-    no posts.  Columns do not change after construction, so aggregates are
-    computed on first use and cached.
+    no posts.  Column arrays are read-only, so aggregates are computed on
+    first use and cached, read-only as well.
     """
 
     def __init__(self, posts: Iterable[PostRecord] = (), users: Iterable[str] = (),
@@ -254,6 +259,8 @@ class Corpus:
             columns = _encode((p.user, p.time, p.hashtags, p.location) for p in posts)
         (self.user_ids, self.times, self.location_ids, self.tag_offsets, self.tag_ids,
          self.user_names, self.tag_names, self.location_names) = columns
+        for column in columns[:5]:  # the arrays; the rest are name tables
+            _read_only(column)
         self.users = set(self.user_names)
         extra = sorted(set(users) - self.users)
         self.user_names = self.user_names + extra
@@ -267,12 +274,12 @@ class Corpus:
 
     @cached_property
     def tags_per_post(self) -> np.ndarray:
-        return np.diff(self.tag_offsets)
+        return _read_only(np.diff(self.tag_offsets))
 
     @cached_property
     def _tag_posts(self) -> np.ndarray:
         """The post of each entry of ``tag_ids``."""
-        return _csr_rows(self.tag_offsets)
+        return _read_only(_csr_rows(self.tag_offsets))
 
     def _entries(self, rows: np.ndarray) -> np.ndarray:
         """Indices into ``tag_ids`` of the hashtags of ``rows``, in row order."""
@@ -284,14 +291,15 @@ class Corpus:
     @cached_property
     def post_quarters(self) -> np.ndarray:
         """Each post's UTC calendar quarter as a ``QuarterBucket.index``."""
-        return self.times.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64) // 3
+        months = self.times.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
+        return _read_only(months // 3)
 
     @cached_property
     def _rows_by_year(self) -> dict[int, np.ndarray]:
         year = self.post_quarters // 4 + EPOCH_YEAR
         order = np.argsort(year, kind="stable")
         years, starts = np.unique(year[order], return_index=True)
-        return dict(zip(years.tolist(), np.split(order, starts[1:])))
+        return dict(zip(years.tolist(), map(_read_only, np.split(order, starts[1:]))))
 
     def years(self) -> list[int]:
         """The UTC calendar years that have posts, ascending."""
@@ -319,9 +327,7 @@ class Corpus:
 
     @cached_property
     def _share_counts(self) -> np.ndarray:
-        counts = np.bincount(self.tag_ids, minlength=len(self.tag_names))
-        counts.flags.writeable = False
-        return counts
+        return _read_only(np.bincount(self.tag_ids, minlength=len(self.tag_names)))
 
     def share_counts(self) -> np.ndarray:
         """Total share count per hashtag id (one per post occurrence); one
@@ -335,7 +341,7 @@ class Corpus:
         n_tags = max(len(self.tag_names), 1)
         keys = self.user_ids[self._tag_posts].astype(np.int64) * n_tags + self.tag_ids
         keys, counts = np.unique(keys, return_counts=True)
-        return keys // n_tags, keys % n_tags, counts
+        return _read_only(keys // n_tags), _read_only(keys % n_tags), _read_only(counts)
 
     def user_hashtags(self) -> dict[str, set[str]]:
         """Distinct hashtags each user has ever shared."""

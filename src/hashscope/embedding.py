@@ -1,8 +1,8 @@
 """Shallow embedding trainer: skip-gram and CBOW with negative sampling.
 
 Token sequences go in, a vocabulary-indexed dense vector table comes out.
-Both modes share one example layout, step and loss: a skip-gram pair is a
-CBOW example whose context is the single center token, and its one-entry
+Both modes share one example layout and step: a skip-gram pair is a CBOW
+example whose context is the single center token, and its one-entry
 context sum is that token's vector exactly.
 Training is mini-batched numpy SGD: gradients within a batch are computed at
 the batch's starting parameters, and scatter-adds apply every pair's update,
@@ -13,6 +13,7 @@ trained on overlapping vocabularies start from comparable coordinates.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 from collections import Counter
@@ -27,7 +28,7 @@ class VocabularyError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Non-finite values appeared in the embedding matrices."""
+    """The embedding matrices became non-finite or too large for float32 logits."""
 
 
 @dataclass
@@ -82,9 +83,6 @@ class EmbeddingTable:
     vocab: Vocabulary
     vectors: np.ndarray                     # |vocab| x d float32 input vectors
     output_vectors: np.ndarray | None = None  # training-side matrix
-    # frozen-sample loss per epoch: a fixed sample of the training examples
-    # with fixed negatives, not a held-out set
-    heldout_loss: list[float] = field(default_factory=list)
 
     def vector(self, token: str) -> np.ndarray:
         return self.vectors[self.vocab.index[token]]
@@ -112,8 +110,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore"):  # NaN inputs surface in the finiteness check
-        return -np.logaddexp(0.0, -np.clip(x, -30.0, 30.0))
+    return -np.logaddexp(0.0, -np.clip(x, -30.0, 30.0))
 
 
 def skipgram_pair_loss(center_vec, context_vec, neg_vecs):
@@ -240,16 +237,6 @@ def _context_sum(ctx: np.ndarray, n_vocab: int):
     return a, np.maximum(counts, 1).astype(np.float32)
 
 
-def _frozen_sample_loss(w_in, w_out, targets, ctx, negs):
-    a, counts = _context_sum(ctx, len(w_in))
-    h = (a @ w_in) / counts[:, None]
-    pos = np.einsum("bd,bd->b", h, w_out[targets])
-    neg = np.einsum("bkd,bd->bk", w_out[negs], h)
-    neg_mask = negs != targets[:, None]
-    return float(-(_log_sigmoid(pos).sum() + (_log_sigmoid(-neg) * neg_mask).sum())
-                 / len(targets))
-
-
 def _step(w_in, w_out, targets, ctx, negs, lr):
     lr = np.float32(lr)
     a, counts = _context_sum(ctx, len(w_in))
@@ -272,25 +259,32 @@ def _step(w_in, w_out, targets, ctx, negs, lr):
     _scatter_add(w_out, np.concatenate((targets, negs.ravel())), out_grads)
 
 
-def train(
-    sentences: Iterable[Sequence[str]],
-    config: TrainConfig,
-    vocab: Vocabulary | None = None,
-) -> EmbeddingTable:
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's heap trim and mmap thresholds at 40 and 20 MiB, so each
+    step's temporaries stay mapped instead of being trimmed and faulted back
+    in on the next step (glibc raises both only after freeing a large mmapped
+    block).  No-op where ``mallopt`` does not exist."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 40 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 20 << 20)  # M_MMAP_THRESHOLD
+
+
+def train(sentences: Iterable[Sequence[str]], config: TrainConfig) -> EmbeddingTable:
     """Train an embedding table over token sequences.
 
-    Deterministic for a fixed config seed.  Tracks a frozen-sample loss per
-    epoch in the returned table's ``heldout_loss`` (index 0 is the
-    pre-training loss): the sample is a fixed draw of training examples with
-    fixed negatives, so it measures fit, not generalization.
-    Raises TrainingDivergedError if non-finite values appear.
+    The vocabulary is every token seen at least ``config.min_count`` times.
+    Deterministic for a fixed config seed.  Raises VocabularyError if no
+    sentence keeps two in-vocabulary tokens, and TrainingDivergedError if
+    values become non-finite or large enough for a logit to overflow float32.
     """
     config.validate()
+    _pin_malloc_thresholds()
     sentences = list(sentences)
-    if vocab is None:
-        vocab = build_vocab(sentences, config.min_count)
-    if len(vocab) == 0:
-        raise VocabularyError("empty vocabulary")
+    vocab = build_vocab(sentences, config.min_count)
 
     rng = np.random.default_rng(config.seed)
     encoded = _encode(sentences, vocab)
@@ -306,13 +300,11 @@ def train(
     targets, ctx_matrix = examples(encoded, config.window)
     n_examples = len(targets)
 
-    # frozen sample: fixed subset of the training examples with fixed negatives
+    # draws once made for a frozen loss sample, kept so later draws are unchanged
     held_n = min(10000, n_examples)
-    held_idx = rng.choice(n_examples, size=held_n, replace=False)
-    held_negs = np.searchsorted(noise_cdf, rng.random((held_n, k))).astype(np.int32)
-    held = (targets[held_idx], ctx_matrix[held_idx], held_negs)
+    rng.choice(n_examples, size=held_n, replace=False)
+    rng.random((held_n, k))
 
-    history = [_frozen_sample_loss(w_in, w_out, *held)]
     batches_per_epoch = math.ceil(n_examples / config.batch_size)
     total_steps = max(config.epochs * batches_per_epoch, 1)
     step = 0
@@ -326,21 +318,16 @@ def train(
             negs = np.searchsorted(noise_cdf, rng.random((len(sel), k))).astype(np.int32)
             _step(w_in, w_out, targets[sel], ctx_matrix[sel], negs, lr)
             step += 1
-        if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
+        # no logit exceeds d * max|w_in| * max|w_out|; past float32 range the
+        # step's dot products overflow (a NaN anywhere fails the comparison)
+        bound = config.dimension * float(np.abs(w_in).max()) * float(np.abs(w_out).max())
+        if not bound < float(np.finfo(np.float32).max):
             raise TrainingDivergedError(
-                f"non-finite embedding values after epoch {epoch + 1}; "
+                f"non-finite or overflowing embedding values after epoch {epoch + 1}; "
                 f"lr={config.learning_rate}"
             )
-        loss = _frozen_sample_loss(w_in, w_out, *held)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(
-                f"non-finite frozen-sample loss after epoch {epoch + 1}; "
-                f"lr={config.learning_rate}"
-            )
-        history.append(loss)
 
-    return EmbeddingTable(vocab=vocab, vectors=w_in, output_vectors=w_out,
-                          heldout_loss=history)
+    return EmbeddingTable(vocab=vocab, vectors=w_in, output_vectors=w_out)
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -5,11 +5,9 @@ import pickle
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import hashscope
 from hashscope import drift, social
 from hashscope.cli import main, parse_config_file
 from hashscope.corpus import Corpus, PostRecord, save_corpus, save_friendships
@@ -17,7 +15,7 @@ from hashscope.embedding import TrainingDivergedError
 from hashscope.reports import report_stats
 from hashscope.synth import SyntheticSpec, generate_synthetic
 
-from conftest import ts
+from conftest import cli_env, ts
 
 
 def run_cli(args):
@@ -463,14 +461,6 @@ class TestStatsReport:
         report = report_stats(three_post_corpus, top_k=5)
         assert report.top_hashtags[0][0] in ("sea", "sun")
         assert report.top_hashtags[0][1] == 2
-
-
-def cli_env(**extra):
-    """Environment for a subprocess that imports this checkout's hashscope."""
-    src = str(Path(hashscope.__file__).resolve().parents[1])
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_cli_import_does_not_load_scipy_stats():

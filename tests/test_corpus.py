@@ -22,6 +22,7 @@ from hashscope.corpus import (
     save_location_categories,
     top_k_hashtags,
 )
+from hashscope.social import build_graph
 from hashscope.synth import SyntheticSpec, generate_synthetic
 
 from conftest import ts
@@ -242,6 +243,27 @@ class TestShareCounts:
         with pytest.raises(ValueError, match="read-only"):
             counts.fill(0)
         assert three_post_corpus.share_counts().tolist() == [2, 1, 2]
+
+
+class TestReadOnlyArrays:
+    """Every pipeline reads the same columns and cached aggregates, so a
+    write through any of them must fail instead of changing later results."""
+
+    def test_columns_and_aggregates_reject_writes(self):
+        corpus = generate_synthetic(SyntheticSpec(users=30, hashtags=50, posts=1500, seed=2))
+        weights = build_graph(corpus).weights.copy()
+        corpus.years()  # builds the per-year rows
+        arrays = {name: getattr(corpus, name) for name in
+                  ("user_ids", "times", "location_ids", "tag_offsets", "tag_ids",
+                   "tags_per_post", "_tag_posts", "post_quarters")}
+        arrays.update(zip(("pair_users", "pair_tags", "pair_counts"), corpus.user_tag_pairs))
+        arrays.update((f"rows_{year}", rows) for year, rows in corpus._rows_by_year.items())
+        arrays["share_counts"] = corpus.share_counts()
+        for name, array in arrays.items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 7
+        assert np.array_equal(build_graph(corpus).weights, weights)
 
 
 class TestPostsInYear:

@@ -1,3 +1,8 @@
+import json
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +20,6 @@ from hashscope.embedding import (
     skipgram_pair_loss,
     train,
     _encode,
-    _frozen_sample_loss,
     _log_sigmoid,
     _scatter_add,
     _sigmoid,
@@ -23,6 +27,8 @@ from hashscope.embedding import (
     _step,
 )
 from hashscope.synth import SyntheticSpec, generate_synthetic
+
+from conftest import cli_env
 
 
 def cbow_pair_loss(context_vecs, target_vec, neg_vecs):
@@ -177,18 +183,6 @@ def dense_step_cbow(w_in, w_out, targets, ctx, negs, lr):
     dense_scatter_add(w_out, out_rows, out_grads)
 
 
-def dense_heldout_loss_cbow(w_in, w_out, targets, ctx, negs):
-    mask = ctx >= 0
-    gathered = w_in[np.clip(ctx, 0, None)] * mask[:, :, None]
-    counts = np.maximum(mask.sum(axis=1), 1).astype(np.float32)
-    h = gathered.sum(axis=1) / counts[:, None]
-    pos = np.einsum("bd,bd->b", h, w_out[targets])
-    neg = np.einsum("bkd,bd->bk", w_out[negs], h)
-    neg_mask = negs != targets[:, None]
-    return float(-(_log_sigmoid(pos).sum() + (_log_sigmoid(-neg) * neg_mask).sum())
-                 / len(targets))
-
-
 def cbow_batch(rng, vocab, dim, batch, width, negatives=3):
     """Random CBOW batch with ragged padding, repeated context ids in row 0
     and an all-padding last row."""
@@ -226,12 +220,6 @@ class TestSparseOperatorsMatchDense:
         assert np.array_equal(w_in, exp_in)
         assert np.array_equal(w_out, exp_out)
 
-    @pytest.mark.parametrize("shape", SPARSE_SHAPES)
-    def test_heldout_loss_cbow(self, shape):
-        rng = np.random.default_rng(sum(shape) + 1)
-        batch = cbow_batch(rng, *shape)
-        assert _frozen_sample_loss(*batch) == dense_heldout_loss_cbow(*batch)
-
     @pytest.mark.parametrize("n_rows", [0, 1, 9, 3000])
     def test_scatter_add_with_duplicate_rows(self, n_rows):
         rng = np.random.default_rng(n_rows)
@@ -249,11 +237,9 @@ class TestSparseOperatorsMatchDense:
         sentences = [["a", "b", "a", "c", "d"], ["b", "c"], ["d", "a", "e", "b"]] * 30
         sparse_table = train(sentences, cfg)
         monkeypatch.setattr(embedding, "_step", dense_step_cbow)
-        monkeypatch.setattr(embedding, "_frozen_sample_loss", dense_heldout_loss_cbow)
         dense_table = train(sentences, cfg)
         assert np.array_equal(sparse_table.vectors, dense_table.vectors)
         assert np.array_equal(sparse_table.output_vectors, dense_table.output_vectors)
-        assert sparse_table.heldout_loss == dense_table.heldout_loss
 
 
 def ref_skipgram_pairs(encoded, window):
@@ -324,9 +310,9 @@ def skipgram_batch(rng, vocab, dim, batch, negatives=3):
 
 
 class TestSkipgramAsWidthOneCbow:
-    """Skip-gram runs through the CBOW layout, step and loss with one
-    context token per example; results must equal the separate skip-gram
-    code bit for bit."""
+    """Skip-gram runs through the CBOW layout and step with one context token
+    per example; results must equal the separate skip-gram code bit for
+    bit."""
 
     @pytest.mark.parametrize("sentences", SKIPGRAM_SENTENCES)
     def test_examples_match_pairs(self, sentences):
@@ -348,13 +334,6 @@ class TestSkipgramAsWidthOneCbow:
         assert np.array_equal(w_in, exp_in)
         assert np.array_equal(w_out, exp_out)
 
-    @pytest.mark.parametrize("shape", [(4, 3, 7), (485, 100, 257)])
-    def test_width_one_loss_matches_skipgram_loss(self, shape):
-        rng = np.random.default_rng(sum(shape) + 1)
-        w_in, w_out, centers, contexts, negs = skipgram_batch(rng, *shape)
-        assert (_frozen_sample_loss(w_in, w_out, contexts, centers[:, None], negs)
-                == ref_heldout_loss_skipgram(w_in, w_out, centers, contexts, negs))
-
     def test_skipgram_training_matches_reference(self, monkeypatch):
         cfg = TrainConfig(mode="skipgram", dimension=8, window=2, epochs=2,
                           batch_size=64, seed=4)
@@ -368,12 +347,9 @@ class TestSkipgramAsWidthOneCbow:
         monkeypatch.setattr(embedding, "_skipgram_examples", pairs)
         monkeypatch.setattr(embedding, "_step", lambda w_in, w_out, t, c, n, lr:
                             ref_step_skipgram(w_in, w_out, c[:, 0], t, n, lr))
-        monkeypatch.setattr(embedding, "_frozen_sample_loss", lambda w_in, w_out, t, c, n:
-                            ref_heldout_loss_skipgram(w_in, w_out, c[:, 0], t, n))
         ref = train(sentences, cfg)
         assert np.array_equal(table.vectors, ref.vectors)
         assert np.array_equal(table.output_vectors, ref.output_vectors)
-        assert table.heldout_loss == ref.heldout_loss
 
 
 class TestTrain:
@@ -400,10 +376,20 @@ class TestTrain:
         assert ab < ac
 
     def test_heldout_loss_decreases(self):
+        # a fit check: the loss on a fixed sample of the training pairs with
+        # fixed negatives, at the initial vectors and at the trained ones
         cfg = TrainConfig(mode="skipgram", dimension=16, window=5, epochs=5, seed=3)
-        table = train(pair_corpus(200), cfg)
-        assert len(table.heldout_loss) == 6  # pre-training value plus one per epoch
-        assert table.heldout_loss[-1] < table.heldout_loss[1]
+        sentences = pair_corpus(200)
+        table = train(sentences, cfg)
+        centers, contexts = ref_skipgram_pairs(_encode(sentences, table.vocab), cfg.window)
+        rng = np.random.default_rng(0)
+        sample = rng.choice(len(centers), size=300, replace=False)
+        negs = rng.integers(0, len(table.vocab), (300, cfg.negatives))
+        pairs = (centers[sample], contexts[sample], negs)
+        initial = ref_heldout_loss_skipgram(init_vectors(table.vocab, cfg),
+                                            np.zeros_like(table.output_vectors), *pairs)
+        trained = ref_heldout_loss_skipgram(table.vectors, table.output_vectors, *pairs)
+        assert trained < initial
 
     def test_vectors_finite_and_nonzero(self):
         cfg = TrainConfig(mode="cbow", dimension=12, window=4, epochs=3, seed=1)
@@ -416,6 +402,37 @@ class TestTrain:
                           learning_rate=1e9, min_learning_rate=1e9, seed=0)
         with pytest.raises(TrainingDivergedError):
             train(pair_corpus(100), cfg)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the pinned thresholds are glibc malloc's")
+    def test_steps_do_not_refault_their_memory(self):
+        # glibc hands freed heap back to the kernel above a trim threshold
+        # that only a large freed block raises; unpinned, every step's
+        # temporaries were trimmed and faulted in again (about 1200 minor
+        # faults a step at this shape, against about 13 pinned).  A fresh
+        # process, so no earlier allocation has moved the thresholds.
+        code = """
+import json, math, resource
+import numpy as np
+import scipy.sparse  # imported before counting
+from hashscope.embedding import TrainConfig, train
+rng = np.random.default_rng(0)
+tokens = [f"t{i}" for i in range(150)]
+sentences = [[tokens[j] for j in rng.integers(0, 150, rng.integers(2, 6))]
+             for _ in range(8000)]
+cfg = TrainConfig(mode="skipgram", dimension=100, window=30, epochs=2,
+                  batch_size=1024, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(sentences, cfg)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+examples = sum(len(s) * (len(s) - 1) for s in sentences)  # window spans each sentence
+print(json.dumps({"faults": faults,
+                  "steps": cfg.epochs * math.ceil(examples / cfg.batch_size)}))
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=cli_env(), timeout=300)
+        run = json.loads(out.stdout)
+        assert run["faults"] / run["steps"] < 250, run
 
     def test_empty_after_encoding_rejected(self):
         cfg = TrainConfig(dimension=4)

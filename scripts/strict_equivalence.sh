@@ -9,7 +9,9 @@
 #     all --input on the corpus, friends and locations files that run wrote,
 #     so that the JSONL reader feeds every pipeline, then the standalone
 #     drift and social commands on those files, which train in their own
-#     process and never in the worker that `all` forks for drift;
+#     process and never in the worker that `all` forks for drift, and drift
+#     once more with --window 3: demo posts carry at most 13 hashtags, so
+#     only a window that small clips skip-gram contexts at sentence ends;
 #   - wide: the wide-cli corpus shape: synth --seed 1 --users 1000
 #     --hashtags 3000 --posts 40000, then stats, temporal --top-k 2000 and
 #     spatial, each --strict, on that corpus; then the same three on the
@@ -60,6 +62,8 @@ run_demo() {
             --friends all/corpus.friends.csv --locations all/corpus.locations.csv \
             --seed 1 --strict --out all-input
         hashscope "$1" drift drift --input all/corpus.jsonl --seed 1 --strict --out drift
+        hashscope "$1" drift-window3 drift --input all/corpus.jsonl --window 3 \
+            --seed 1 --strict --out drift-window3
         hashscope "$1" social social --input all/corpus.jsonl \
             --friends all/corpus.friends.csv --seed 1 --strict --out social
     )

@@ -3,7 +3,12 @@
 Token sequences go in, a vocabulary-indexed dense vector table comes out.
 Both modes share one example layout and step: a skip-gram pair is a CBOW
 example whose context is the single center token, and its one-entry
-context sum is that token's vector exactly.
+context sum is that token's vector exactly, taken as a gather.
+Each batch's integer rows are built when the batch is drawn, from one int32
+token array and each token's position and sentence length, so training
+memory follows the token count and the batch, not the number of context
+slots or skip-gram pairs.  Negatives are read from an exact guide table over
+the noise CDF and equal ``searchsorted`` draws of the same uniforms.
 Training is mini-batched numpy SGD: gradients within a batch are computed at
 the batch's starting parameters, and scatter-adds apply every pair's update,
 so results are bit-reproducible for a fixed seed.  Input vectors are
@@ -156,39 +161,63 @@ def _encode(sentences, vocab: Vocabulary) -> list[np.ndarray]:
     return out
 
 
-def _cbow_examples(encoded: list[np.ndarray], window: int):
-    """(target, padded context matrix) for every position; pad index is -1."""
-    by_len: dict[int, list[np.ndarray]] = {}
-    for sent in encoded:
-        by_len.setdefault(len(sent), []).append(sent)
-    targets, ctx_blocks = [], []
-    max_ctx = 0
-    for length in sorted(by_len):
-        mat = np.stack(by_len[length])
-        template = np.full((length, 2 * window), -1, dtype=np.int64)
-        for i in range(length):
-            cols = [j for j in range(max(0, i - window), min(length, i + window + 1)) if j != i]
-            template[i, : len(cols)] = cols
-        width = max(int((template >= 0).sum(axis=1).max()), 1)
-        template = template[:, :width]
-        max_ctx = max(max_ctx, width)
-        ctx = np.where(template[None, :, :] >= 0, mat[:, np.clip(template, 0, None)], -1)
-        targets.append(mat.ravel())
-        ctx_blocks.append(ctx.reshape(-1, width).astype(np.int32))
-    if not targets:
-        raise VocabularyError("no co-occurring token pairs to train on")
-    padded = [np.pad(b, ((0, 0), (0, max_ctx - b.shape[1])), constant_values=-1)
-              for b in ctx_blocks]
-    return np.concatenate(targets).astype(np.int32), np.concatenate(padded)
+class _Examples:
+    """Training examples of one corpus, built a batch of integer rows at a time.
 
+    Rows run in one fixed order: sentences by ascending length (input order
+    within a length), then positions.  A CBOW example is one row: the token
+    at position ``i`` is the target, and its context is every other position
+    in ``[lo, hi)``, ``lo = max(0, i - w)``, ``hi = min(L, i + w + 1)``,
+    ascending, padded with -1 to the corpus's widest context.  A skip-gram
+    example is one in-window neighbour of a row: the neighbour is the target
+    and the row's token is its only context, in (row, neighbour) order.
+    Only three int32 arrays of one entry per token (and, for skip-gram, the
+    per-row example offsets) are kept, so memory follows the token count and
+    the batch size, not the number of context slots or pairs.
+    """
 
-def _skipgram_examples(encoded: list[np.ndarray], window: int):
-    """Skip-gram pairs as one-token-context CBOW examples: each in-window
-    neighbour is a target whose only context is its center token.  Rows run
-    in (sentence, position, neighbour) order."""
-    centers, ctx = _cbow_examples(encoded, window)
-    mask = ctx >= 0
-    return ctx[mask], np.repeat(centers, mask.sum(axis=1))[:, None]
+    def __init__(self, encoded: list[np.ndarray], window: int, skipgram: bool):
+        lengths = np.array([len(s) for s in encoded])
+        order = np.argsort(lengths, kind="stable")
+        lengths = lengths[order]
+        self.tokens = np.concatenate([encoded[i] for i in order])
+        self.length = np.repeat(lengths, lengths).astype(np.int32)
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        self.pos = (np.arange(len(self.tokens)) - starts).astype(np.int32)
+        self.window = window
+        self.skipgram = skipgram
+        if skipgram:
+            lo, hi = self._span(self.pos, self.length)
+            counts = (hi - lo - 1).astype(np.int64)
+            self.first = np.cumsum(counts) - counts  # each row's first example id
+            self.n = int(counts.sum())
+        else:
+            self.width = min(int(lengths[-1]) - 1, 2 * window)  # widest context
+            self.n = len(self.tokens)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _span(self, i: np.ndarray, length: np.ndarray):
+        return np.maximum(i - self.window, 0), np.minimum(length, i + self.window + 1)
+
+    def batch(self, sel: np.ndarray):
+        """(targets, context rows) of the examples ``sel``, both int32."""
+        row = np.searchsorted(self.first, sel, side="right") - 1 if self.skipgram else sel
+        i, length = self.pos[row], self.length[row]
+        lo, hi = self._span(i, length)
+        if self.skipgram:
+            col = (sel - self.first[row])[:, None]
+        else:
+            col = np.arange(self.width)
+        # k-th context column of position i skips i itself
+        j = lo[:, None] + col
+        j += j >= i[:, None]
+        valid = j < hi[:, None]
+        neighbours = self.tokens[np.where(valid, (row - i)[:, None] + j, 0)]
+        if self.skipgram:
+            return neighbours[:, 0], self.tokens[row][:, None]
+        return self.tokens[sel], np.where(valid, neighbours, -1)
 
 
 def _noise_cdf(counts: np.ndarray) -> np.ndarray:
@@ -196,6 +225,27 @@ def _noise_cdf(counts: np.ndarray) -> np.ndarray:
     w = np.power(counts.astype(np.float64), 0.75)
     cdf = np.cumsum(w)
     return cdf / cdf[-1]
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table over ``cdf`` (Chen and Asau 1974): entry ``j`` is
+    ``searchsorted(cdf, j / M)`` for ``j = 0..M``.  M is the power of two at
+    or above ``16 * len(cdf)``, so ``j / M`` and ``floor(u * M)`` are exact."""
+    m = 1 << (16 * len(cdf) - 1).bit_length()
+    return np.searchsorted(cdf, np.arange(m + 1) / m).astype(np.int32)
+
+
+def _draw_negatives(guide: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u)`` as int32, read from the guide table.
+
+    ``u`` lies in bucket ``j = floor(u * M)``, so its index lies between
+    ``guide[j]`` and ``guide[j + 1]``; where the two agree that is the
+    answer, and only the other draws are searched."""
+    j = (u * (len(guide) - 1)).astype(np.intp)
+    out = guide[j]
+    ambiguous = out != guide[j + 1]
+    out[ambiguous] = np.searchsorted(cdf, u[ambiguous])
+    return out
 
 
 def _scatter_add(matrix: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
@@ -238,19 +288,29 @@ def _context_sum(ctx: np.ndarray, n_vocab: int):
 
 
 def _step(w_in, w_out, targets, ctx, negs, lr):
+    """One SGD step on a batch.  A width-1 context (skip-gram, or CBOW over
+    two-token sentences) is never padded, so its context sum is a gather."""
     lr = np.float32(lr)
-    a, counts = _context_sum(ctx, len(w_in))
-    h = a @ w_in
-    h /= counts[:, None]
+    if ctx.shape[1] == 1:
+        rows = ctx[:, 0]
+        h = w_in[rows]
+    else:
+        a, counts = _context_sum(ctx, len(w_in))
+        h = a @ w_in
+        h /= counts[:, None]
     wt = w_out[targets]
     wn = w_out[negs]
     g_pos = (_sigmoid(np.einsum("bd,bd->b", h, wt)) - 1.0).astype(np.float32)
     g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, h)).astype(np.float32)
     g_neg *= negs != targets[:, None]
     grad_h = g_pos[:, None] * wt + np.einsum("bk,bkd->bd", g_neg, wn)
-    grad_h /= counts[:, None]
-    grad_h *= -lr
-    w_in += a.T @ grad_h
+    if ctx.shape[1] == 1:
+        grad_h *= -lr
+        _scatter_add(w_in, rows, grad_h)
+    else:
+        grad_h /= counts[:, None]
+        grad_h *= -lr
+        w_in += a.T @ grad_h
     # output-side rows: every target, then every negative, in one buffer
     (b, d), k = h.shape, negs.shape[1]
     out_grads = np.empty((b * (1 + k), d), dtype=np.float32)
@@ -294,11 +354,11 @@ def train(sentences: Iterable[Sequence[str]], config: TrainConfig) -> EmbeddingT
     w_in = init_vectors(vocab, config)
     w_out = np.zeros((len(vocab), config.dimension), dtype=np.float32)
     noise_cdf = _noise_cdf(vocab.counts)
+    guide = _guide_table(noise_cdf)
     k = config.negatives
 
-    examples = _skipgram_examples if config.mode == "skipgram" else _cbow_examples
-    targets, ctx_matrix = examples(encoded, config.window)
-    n_examples = len(targets)
+    examples = _Examples(encoded, config.window, skipgram=config.mode == "skipgram")
+    n_examples = len(examples)
 
     # draws once made for a frozen loss sample, kept so later draws are unchanged
     held_n = min(10000, n_examples)
@@ -315,8 +375,8 @@ def train(sentences: Iterable[Sequence[str]], config: TrainConfig) -> EmbeddingT
             lr = config.learning_rate + (
                 config.min_learning_rate - config.learning_rate
             ) * (step / total_steps)
-            negs = np.searchsorted(noise_cdf, rng.random((len(sel), k))).astype(np.int32)
-            _step(w_in, w_out, targets[sel], ctx_matrix[sel], negs, lr)
+            negs = _draw_negatives(guide, noise_cdf, rng.random((len(sel), k)))
+            _step(w_in, w_out, *examples.batch(sel), negs, lr)
             step += 1
         # no logit exceeds d * max|w_in| * max|w_out|; past float32 range the
         # step's dot products overflow (a NaN anywhere fails the comparison)

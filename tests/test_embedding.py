@@ -19,11 +19,14 @@ from hashscope.embedding import (
     nearest_neighbors,
     skipgram_pair_loss,
     train,
+    _draw_negatives,
     _encode,
+    _Examples,
+    _guide_table,
     _log_sigmoid,
+    _noise_cdf,
     _scatter_add,
     _sigmoid,
-    _skipgram_examples,
     _step,
 )
 from hashscope.synth import SyntheticSpec, generate_synthetic
@@ -242,6 +245,73 @@ class TestSparseOperatorsMatchDense:
         assert np.array_equal(sparse_table.output_vectors, dense_table.output_vectors)
 
 
+def ref_cbow_examples(encoded, window):
+    """The materialising CBOW builder the per-batch rows replaced: (target,
+    padded context matrix) for every position, pad index -1, rows in
+    ascending sentence length, input order within a length, then position."""
+    by_len = {}
+    for sent in encoded:
+        by_len.setdefault(len(sent), []).append(sent)
+    targets, ctx_blocks = [], []
+    max_ctx = 0
+    for length in sorted(by_len):
+        mat = np.stack(by_len[length])
+        template = np.full((length, 2 * window), -1, dtype=np.int64)
+        for i in range(length):
+            cols = [j for j in range(max(0, i - window), min(length, i + window + 1)) if j != i]
+            template[i, : len(cols)] = cols
+        width = max(int((template >= 0).sum(axis=1).max()), 1)
+        template = template[:, :width]
+        max_ctx = max(max_ctx, width)
+        ctx = np.where(template[None, :, :] >= 0, mat[:, np.clip(template, 0, None)], -1)
+        targets.append(mat.ravel())
+        ctx_blocks.append(ctx.reshape(-1, width).astype(np.int32))
+    padded = [np.pad(b, ((0, 0), (0, max_ctx - b.shape[1])), constant_values=-1)
+              for b in ctx_blocks]
+    return np.concatenate(targets).astype(np.int32), np.concatenate(padded)
+
+
+def ref_skipgram_examples(encoded, window):
+    """The materialising skip-gram builder: every non-pad CBOW context slot is
+    a target whose only context is its row's token, in (row, slot) order."""
+    centers, ctx = ref_cbow_examples(encoded, window)
+    mask = ctx >= 0
+    return ctx[mask], np.repeat(centers, mask.sum(axis=1))[:, None]
+
+
+def ragged_encoded(window, seed):
+    """Sentences over 5 token ids (so tokens repeat), with lengths from 2 up
+    to past 2 * window + 1, shuffled so equal lengths are not adjacent."""
+    rng = np.random.default_rng(seed)
+    edge = 2 * window + 1
+    lengths = [2, 3, edge - 1, edge, edge + 1, 3 * window + 4] * 3
+    lengths += list(rng.integers(2, edge + 5, 12))
+    rng.shuffle(lengths)
+    return [rng.integers(0, 5, n).astype(np.int32) for n in lengths]
+
+
+class TestExampleRows:
+    """Rows built per batch equal the same rows of the materialised matrices."""
+
+    @pytest.mark.parametrize("skipgram", [False, True])
+    @pytest.mark.parametrize("window", [1, 2, 10])
+    @pytest.mark.parametrize("batch_size", [1, 7, 1024])
+    def test_batches_match_materialised_rows(self, skipgram, window, batch_size):
+        encoded = ragged_encoded(window, seed=window)
+        oracle = ref_skipgram_examples if skipgram else ref_cbow_examples
+        targets, ctx = oracle(encoded, window)
+        examples = _Examples(encoded, window, skipgram=skipgram)
+        assert len(examples) == len(targets)
+        n = len(targets)
+        for order in (np.arange(n), np.random.default_rng(0).permutation(n)):
+            for lo in range(0, n, batch_size):
+                sel = order[lo: lo + batch_size]
+                got_targets, got_ctx = examples.batch(sel)
+                assert got_targets.dtype == got_ctx.dtype == np.int32
+                assert np.array_equal(got_targets, targets[sel])
+                assert np.array_equal(got_ctx, ctx[sel])
+
+
 def ref_skipgram_pairs(encoded, window):
     """The separate skip-gram pair builder that one-token-context CBOW
     examples replaced: (center, context) for every in-window ordered pair."""
@@ -319,7 +389,8 @@ class TestSkipgramAsWidthOneCbow:
         vocab = build_vocab(sentences)
         encoded = _encode(sentences, vocab)
         centers, contexts = ref_skipgram_pairs(encoded, window=2)
-        targets, ctx = _skipgram_examples(encoded, window=2)
+        examples = _Examples(encoded, window=2, skipgram=True)
+        targets, ctx = examples.batch(np.arange(len(examples)))
         assert ctx.shape == (len(centers), 1)
         assert np.array_equal(ctx[:, 0], centers)
         assert np.array_equal(targets, contexts)
@@ -339,17 +410,76 @@ class TestSkipgramAsWidthOneCbow:
                           batch_size=64, seed=4)
         sentences = SKIPGRAM_SENTENCES[0] * 20
         table = train(sentences, cfg)
+        served = []
 
-        def pairs(encoded, window):
-            centers, contexts = ref_skipgram_pairs(encoded, window)
-            return contexts, centers[:, None]
+        class ReferencePairs:
+            def __init__(self, encoded, window, skipgram):
+                assert skipgram
+                self.centers, self.contexts = ref_skipgram_pairs(encoded, window)
 
-        monkeypatch.setattr(embedding, "_skipgram_examples", pairs)
+            def __len__(self):
+                return len(self.centers)
+
+            def batch(self, sel):
+                served.append(len(sel))
+                return self.contexts[sel], self.centers[sel][:, None]
+
+        monkeypatch.setattr(embedding, "_Examples", ReferencePairs)
         monkeypatch.setattr(embedding, "_step", lambda w_in, w_out, t, c, n, lr:
                             ref_step_skipgram(w_in, w_out, c[:, 0], t, n, lr))
         ref = train(sentences, cfg)
+        assert sum(served) == cfg.epochs * len(ref_skipgram_pairs(
+            _encode(sentences, table.vocab), cfg.window)[0])
         assert np.array_equal(table.vectors, ref.vectors)
         assert np.array_equal(table.output_vectors, ref.output_vectors)
+
+    def test_width_one_gather_matches_csr_product_with_negative_zeros(self):
+        # a padded second column sends the same batch through the CSR
+        # context sum, which starts each row from +0.0
+        rng = np.random.default_rng(9)
+        w_in, w_out, centers, contexts, negs = skipgram_batch(rng, 12, 6, 40)
+        w_in[::2, ::2] = -0.0
+        w_out[1::3, 1::2] = -0.0
+        gathered = w_in[centers]
+        assert (np.signbit(gathered) & (gathered == 0)).any()
+        exp_in, exp_out = w_in.copy(), w_out.copy()
+        padded = np.pad(centers[:, None], ((0, 0), (0, 1)), constant_values=-1)
+        _step(exp_in, exp_out, contexts, padded, negs, 0.3)
+        _step(w_in, w_out, contexts, centers[:, None], negs, 0.3)
+        assert w_in.tobytes() == exp_in.tobytes()
+        assert w_out.tobytes() == exp_out.tobytes()
+
+
+class TestGuideTable:
+    """Negatives read from the guide table equal ``searchsorted`` draws."""
+
+    @pytest.mark.parametrize("counts", [
+        [5],
+        [3] * 7,
+        [10**12, 1, 10**12, 10**12],  # one token of near-zero weight
+        list(np.random.default_rng(4).zipf(1.5, 3000)),
+    ])
+    def test_draws_equal_searchsorted(self, counts):
+        cdf = _noise_cdf(np.array(counts))
+        guide = _guide_table(cdf)
+        m = len(guide) - 1
+        assert m >= 16 * len(counts) and m & (m - 1) == 0
+        edges = np.arange(m + 1) / m
+        u = np.concatenate([
+            np.random.default_rng(0).random(10**6),
+            [0.0, np.nextafter(1.0, 0.0)],
+            edges[:-1],
+            np.nextafter(edges[1:], 0.0),
+        ])
+        got = _draw_negatives(guide, cdf, u)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, np.searchsorted(cdf, u))
+
+    def test_keeps_the_draw_shape(self):
+        cdf = _noise_cdf(np.array([9, 4, 4, 1]))
+        u = np.random.default_rng(1).random((33, 5))
+        got = _draw_negatives(_guide_table(cdf), cdf, u)
+        assert np.array_equal(got, np.searchsorted(cdf, u))
 
 
 class TestTrain:
@@ -433,6 +563,37 @@ print(json.dumps({"faults": faults,
                              check=True, env=cli_env(), timeout=300)
         run = json.loads(out.stdout)
         assert run["faults"] / run["steps"] < 250, run
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in kilobytes on Linux")
+    def test_cbow_memory_does_not_hold_the_context_matrix(self):
+        # social's shape (walks of 41 nodes, window 10), N and 4N walks, each
+        # trained in a fresh process; the padded int32 context matrix that
+        # training once built would take examples * 20 * 4 bytes
+        code = """
+import json, resource, sys
+import numpy as np
+import scipy.sparse  # imported before measuring
+from hashscope.embedding import TrainConfig, train
+n = int(sys.argv[1])
+rng = np.random.default_rng(0)
+nodes = [f"n{i}" for i in range(200)]
+walks = [[nodes[j] for j in row] for row in rng.integers(0, 200, (n, 41)).tolist()]
+cfg = TrainConfig(mode="cbow", dimension=16, window=10, epochs=1, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+train(walks, cfg)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"rise": (after - before) * 1024, "matrix": n * 41 * 20 * 4}))
+"""
+        runs = [
+            json.loads(subprocess.run([sys.executable, "-c", code, str(n)],
+                                      capture_output=True, text=True, check=True,
+                                      env=cli_env(), timeout=300).stdout)
+            for n in (2500, 10000)
+        ]
+        small, large = runs
+        assert large["rise"] < large["matrix"], runs
+        assert large["rise"] - small["rise"] < large["matrix"] - small["matrix"], runs
 
     def test_empty_after_encoding_rejected(self):
         cfg = TrainConfig(dimension=4)

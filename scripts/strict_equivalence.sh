@@ -26,7 +26,9 @@
 #     instead of in its forked worker.
 # Every command's artifacts, manifest, stdout, stderr and exit code are kept,
 # and the parent and both reruns are each compared with the working tree's by
-# diff -r.  Exits 0 and prints "no differences" when all of them match.
+# diff -r.  Exits 0 and prints "no differences" when all of them match, then
+# the net line change of the tracked files under src/ against PARENT_REF, as
+# summed from git diff --numstat.
 set -euo pipefail
 
 ref=${1:?usage: $0 PARENT_REF}
@@ -111,5 +113,7 @@ diff -r "$work/change" "$work/change-2threads" || status=1
 diff -r "$work/change/demo" "$work/change-1cpu/demo" || status=1
 if [ "$status" -eq 0 ]; then
     echo "no differences"
+    git -C "$root" diff --numstat "$ref" -- src |
+        awk '{a += $1; d += $2} END {printf "src/: +%d -%d, net %+d lines\n", a, d, a - d}'
 fi
 exit "$status"

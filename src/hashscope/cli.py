@@ -9,7 +9,6 @@ key=value config file, then explicit command-line flags.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -22,7 +21,7 @@ import scipy
 from . import __version__
 from .corpus import (
     Corpus, CorpusFormatError, QuarterBucket, load_corpus,
-    save_corpus, save_friendships, save_location_categories,
+    save_corpus, save_friendships, save_location_categories, write_json,
 )
 from .embedding import TrainConfig, TrainingDivergedError
 from .reports import StatsReport, render_stats, report_stats
@@ -241,10 +240,8 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, strict: bool,
     if skipped:
         payload["skipped"] = skipped
     if not strict:
-        payload["wall_time_s"] = round(time.time() - started, 3)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        payload["wall_time_s"] = round(time.perf_counter() - started, 3)
+    write_json(out_dir / "manifest.json", payload)
 
 
 def _save_synthetic(corpus: Corpus, posts: Path, stem: str) -> list[str]:
@@ -260,7 +257,7 @@ def _save_synthetic(corpus: Corpus, posts: Path, stem: str) -> list[str]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.perf_counter()
     cfg = resolve_settings(args)
     corpus = generate_synthetic(_spec_from_settings(cfg))
     out = Path(args.out)
@@ -337,15 +334,12 @@ def _write_drift(report: drift_mod.DisplacementReport, cfg: dict,
                  out_dir: Path) -> list[str]:
     drift_mod.export_csv(report, out_dir / "drift_displacement.csv")
     drift_mod.export_scatter(report, out_dir / "drift_scatter.csv")
-    summary = {
+    write_json(out_dir / "drift_summary.json", {
         "years": report.years,
         "hashtags_analyzed": len(report.overall),
         "entropy_correlation": report.entropy_correlation,
         "frequency_correlation": report.frequency_correlation,
-    }
-    with open(out_dir / "drift_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"drift: {len(report.overall)} hashtags over {report.years}, "
           f"entropy corr {report.entropy_correlation}")
     return ["drift_displacement.csv", "drift_scatter.csv", "drift_summary.json"]
@@ -378,7 +372,7 @@ PIPELINES = {
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.perf_counter()
     cfg = resolve_settings(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -447,7 +441,7 @@ def _in_worker(compute, corpus: Corpus, cfg: dict):
 
 
 def cmd_all(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.perf_counter()
     cfg = resolve_settings(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

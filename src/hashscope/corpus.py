@@ -1,5 +1,8 @@
 """Post corpus data model, file ingestion, quarter bucketing, and top-k selection.
 
+Every CSV file the package reads goes through ``_read_csv``, and every CSV or
+JSON file it writes (all but the JSONL posts) through ``write_csv`` or ``write_json``.
+
 A corpus holds its posts as int-coded columns: per post a user id, a UTC
 timestamp, a location id, and a set of lowercase hashtag ids, with the user,
 hashtag and location names kept once each in string tables.  Friendships and
@@ -414,6 +417,40 @@ def _checked_row(user, time_val, hashtags: set[str], location,
     return user, _parse_time(time_val, line), hashtags, location or None
 
 
+def write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """A UTF-8 CSV file: the header row, then ``rows``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, payload) -> None:
+    """``payload`` as UTF-8 JSON, indented, keys sorted, one trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _read_csv(path: str | Path, header: list[str]):
+    """``(line number, row)`` of each non-empty row of a CSV file that starts
+    with ``header`` and whose rows have one field per header column; a row's
+    line is the file line it starts on, as a quoted field may span lines."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first != header:
+            raise CorpusFormatError(f"expected header {header}, got {first}", 1)
+        line = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise CorpusFormatError(
+                        f"expected {len(header)} columns, got {len(row)}", line)
+                yield line, row
+            line = reader.line_num + 1
+
+
 def _iter_jsonl_rows(path: Path):
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -444,23 +481,10 @@ def _iter_jsonl_rows(path: Path):
 
 
 def _iter_csv_rows(path: Path):
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusFormatError("empty CSV file", 1) from None
-        if header != CSV_HEADER:
-            raise CorpusFormatError(f"expected header {CSV_HEADER}, got {header}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise CorpusFormatError(f"expected 4 columns, got {len(row)}", lineno)
-            user, time_val, tag_field, location = row
-            hashtags = set(tag_field.lower().split(";"))
-            hashtags.discard("")
-            yield _checked_row(user, time_val, hashtags, location, lineno)
+    for lineno, (user, time_val, tag_field, location) in _read_csv(path, CSV_HEADER):
+        hashtags = set(tag_field.lower().split(";"))
+        hashtags.discard("")
+        yield _checked_row(user, time_val, hashtags, location, lineno)
 
 
 def _warn_duplicates(corpus: Corpus) -> None:
@@ -547,11 +571,9 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None
                 fh.write(f'{{"user": {user}, "time": {time}, "hashtags": '
                          f'[{", ".join(tags)}], "location": {location or "null"}}}\n')
     elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            writer.writerows([user, time, ";".join(tags), location or ""]
-                             for user, time, tags, location in _rows_for_saving(corpus, str))
+        rows = _rows_for_saving(corpus, str)
+        write_csv(path, CSV_HEADER, ([user, time, ";".join(tags), location or ""]
+                                     for user, time, tags, location in rows))
     else:
         raise ValueError(f"unknown format {format!r}")
 
@@ -559,56 +581,34 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None
 def load_friendships(path: str | Path) -> set[tuple[str, str]]:
     """Two-column CSV of user-id pairs; symmetric duplicates collapse to one pair."""
     pairs = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FRIENDS_HEADER:
-            raise CorpusFormatError(f"expected header {FRIENDS_HEADER}, got {header}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CorpusFormatError(f"expected 2 columns, got {len(row)}", lineno)
-            a, b = row
-            if not a or not b:
-                raise CorpusFormatError("invalid user id ''", lineno)
-            if a == b:
-                raise CorpusFormatError(f"self-friendship for user {a!r}", lineno)
-            pairs.append((a, b))
+    for lineno, (a, b) in _read_csv(path, FRIENDS_HEADER):
+        if not a or not b:
+            raise CorpusFormatError("invalid user id ''", lineno)
+        if a == b:
+            raise CorpusFormatError(f"self-friendship for user {a!r}", lineno)
+        pairs.append((a, b))
     return normalize_friendships(pairs)
 
 
 def save_friendships(friendships: set[tuple[str, str]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FRIENDS_HEADER)
-        for a, b in sorted(friendships):
-            writer.writerow([a, b])
+    write_csv(path, FRIENDS_HEADER, sorted(friendships))
 
 
 def load_location_categories(path: str | Path) -> dict[str, str]:
-    """Two-column CSV mapping location id to category name."""
+    """Two-column CSV mapping each location id, listed once, to a category
+    name; neither may be empty."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LOCATIONS_HEADER:
-            raise CorpusFormatError(f"expected header {LOCATIONS_HEADER}, got {header}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CorpusFormatError(f"expected 2 columns, got {len(row)}", lineno)
-            out[row[0]] = row[1]
+    for lineno, (location, category) in _read_csv(path, LOCATIONS_HEADER):
+        if not location or not category:
+            raise CorpusFormatError("empty location or category", lineno)
+        if location in out:
+            raise CorpusFormatError(f"location {location!r} listed twice", lineno)
+        out[location] = category
     return out
 
 
 def save_location_categories(categories: dict[str, str], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOCATIONS_HEADER)
-        for loc, cat in sorted(categories.items()):
-            writer.writerow([loc, cat])
+    write_csv(path, LOCATIONS_HEADER, sorted(categories.items()))
 
 
 def bucket_share_series(

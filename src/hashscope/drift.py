@@ -8,14 +8,13 @@ alignment before distances are measured.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, top_k_hashtags
+from .corpus import Corpus, top_k_hashtags, write_csv
 from .embedding import EmbeddingTable, TrainConfig, cosine_distance, train
 
 ORTHOGONALITY_TOL = 1e-8
@@ -224,34 +223,29 @@ def drift_analysis(
 def export_csv(report: DisplacementReport, path: str | Path) -> None:
     """Per-hashtag overall displacement with per-pair detail columns."""
     pairs = list(zip(report.years, report.years[1:]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["hashtag", "overall_displacement"]
+    header = ["hashtag", "overall_displacement"]
+    for y_a, y_b in pairs:
+        header += [f"disp_{y_a}_{y_b}", f"entropy_{y_a}", f"shares_{y_a}"]
+    rows = []
+    for tag in sorted(report.overall, key=lambda t: (-report.overall[t], t)):
+        row = [tag, repr(report.overall[tag])]
         for y_a, y_b in pairs:
-            header += [f"disp_{y_a}_{y_b}", f"entropy_{y_a}", f"shares_{y_a}"]
-        writer.writerow(header)
-        ranked = sorted(report.overall, key=lambda t: (-report.overall[t], t))
-        for tag in ranked:
-            row = [tag, repr(report.overall[tag])]
-            for y_a, y_b in pairs:
-                disp = report.single.get(tag, {}).get((y_a, y_b))
-                ent = report.entropy.get((tag, y_a))
-                freq = report.frequency.get((tag, y_a))
-                row += [
-                    repr(disp) if disp is not None else "",
-                    repr(ent) if ent is not None else "",
-                    freq if freq is not None else "",
-                ]
-            writer.writerow(row)
+            disp = report.single.get(tag, {}).get((y_a, y_b))
+            ent = report.entropy.get((tag, y_a))
+            freq = report.frequency.get((tag, y_a))
+            row += [
+                repr(disp) if disp is not None else "",
+                repr(ent) if ent is not None else "",
+                freq if freq is not None else "",
+            ]
+        rows.append(row)
+    write_csv(path, header, rows)
 
 
 def export_scatter(report: DisplacementReport, path: str | Path) -> None:
     """(entropy, displacement) scatter points for external plotting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hashtag", "year_a", "year_b", "entropy", "displacement"])
-        for tag in sorted(report.single):
-            for (y_a, y_b), disp in sorted(report.single[tag].items()):
-                ent = report.entropy.get((tag, y_a))
-                if ent is not None:
-                    writer.writerow([tag, y_a, y_b, repr(ent), repr(disp)])
+    write_csv(path, ["hashtag", "year_a", "year_b", "entropy", "displacement"],
+              ([tag, y_a, y_b, repr(report.entropy[tag, y_a]), repr(disp)]
+               for tag in sorted(report.single)
+               for (y_a, y_b), disp in sorted(report.single[tag].items())
+               if (tag, y_a) in report.entropy))

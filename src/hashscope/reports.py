@@ -3,13 +3,12 @@ quarterly adoption series."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, QuarterBucket, quarter_range, top_k_hashtags
+from .corpus import Corpus, QuarterBucket, quarter_range, top_k_hashtags, write_json
 
 
 @dataclass
@@ -40,9 +39,7 @@ class StatsReport:
         }
 
     def save_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def _log_bins(values) -> list[dict]:

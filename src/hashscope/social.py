@@ -9,14 +9,12 @@ that score against set-overlap baselines with a rank-based AUC.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, write_csv, write_json
 from .embedding import TrainConfig, cosine_distance, train
 
 USER_PREFIX = "u:"
@@ -63,11 +61,6 @@ class BipartiteGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.users) + len(self.hashtags)
-
-    def node_names(self) -> np.ndarray:
-        return np.array(
-            [USER_PREFIX + u for u in self.users] + [TAG_PREFIX + h for h in self.hashtags]
-        )
 
 
 def build_graph(corpus: Corpus) -> BipartiteGraph:
@@ -149,8 +142,10 @@ def random_walks(graph: BipartiteGraph, config: WalkConfig) -> list[list[str]]:
         chosen = np.where(keep, slot, alias[flat])
         cur = graph.neighbors[graph.offsets[cur] + chosen]
         trace[:, step] = cur
-    names = graph.node_names()
-    return [list(row) for row in names[trace]]
+    # one str per node, so every token of a node is that one object
+    names = np.array([USER_PREFIX + u for u in graph.users]
+                     + [TAG_PREFIX + h for h in graph.hashtags], dtype=object)
+    return names[trace].tolist()
 
 
 def learn_profiles(walks: list[list[str]], config: WalkConfig) -> dict[str, np.ndarray]:
@@ -338,18 +333,15 @@ def friendship_eval(corpus: Corpus, walk_config: WalkConfig | None = None) -> Pr
 
 
 def export_csv(report: PredictionReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_a", "user_b", "distance", "label",
-                         "common", "jaccard", "preferential"])
-        for r in report.pairs:
-            writer.writerow([r.user_a, r.user_b, repr(r.distance), r.label,
-                             repr(r.common), repr(r.jaccard), repr(r.preferential)])
+    write_csv(path, ["user_a", "user_b", "distance", "label",
+                     "common", "jaccard", "preferential"],
+              ([r.user_a, r.user_b, repr(r.distance), r.label,
+                repr(r.common), repr(r.jaccard), repr(r.preferential)] for r in report.pairs))
 
 
 def export_summary(report: PredictionReport, config: WalkConfig,
                    path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "auc": {k: report.auc_scores[k] for k in sorted(report.auc_scores)},
         "zero_common_hashtag_auc": report.zero_common_auc,
         "n_friend_pairs": report.n_friend_pairs,
@@ -365,7 +357,4 @@ def export_summary(report: PredictionReport, config: WalkConfig,
             "epochs": config.epochs,
             "seed": config.seed,
         },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })

@@ -6,11 +6,10 @@ whose hashtag share falls below its visit share is share-averse.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus
+from .corpus import Corpus, write_csv
 
 
 @dataclass
@@ -63,10 +62,7 @@ def category_propensity(corpus: Corpus, categories_top_n: int | None = None) -> 
 
 
 def export_csv(stats: list[CategoryStats], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category", "visits", "hashtag_instances",
-                         "visit_share", "hashtag_share", "delta"])
-        for s in stats:
-            writer.writerow([s.category, s.visits, s.hashtag_instances,
-                             repr(s.visit_share), repr(s.hashtag_share), repr(s.delta)])
+    write_csv(path, ["category", "visits", "hashtag_instances",
+                     "visit_share", "hashtag_share", "delta"],
+              ([s.category, s.visits, s.hashtag_instances,
+                repr(s.visit_share), repr(s.hashtag_share), repr(s.delta)] for s in stats))

@@ -8,14 +8,13 @@ or Meteor from their members' series statistics.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, QuarterBucket, bucket_share_series, top_k_hashtags, DEFAULT_BUCKET_RANGE
+from .corpus import (Corpus, QuarterBucket, bucket_share_series, top_k_hashtags,
+                     DEFAULT_BUCKET_RANGE, write_csv, write_json)
 
 SERIES_LENGTH = 16
 N_FEATURES = 13
@@ -376,20 +375,14 @@ def label_clusters(
 def export_csv(result: ClusterResult, profiles: list[TemporalProfile],
                path: str | Path) -> None:
     """hashtag, 16 series values, 13 features, cluster id, label."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["hashtag"] + [f"q{i}" for i in range(SERIES_LENGTH)]
-            + FEATURE_NAMES + ["cluster", "label"]
-        )
-        for p in sorted(profiles, key=lambda p: p.hashtag):
-            cluster = result.assignment[p.hashtag]
-            writer.writerow(
-                [p.hashtag]
-                + [repr(float(x)) for x in p.series]
-                + [repr(float(x)) for x in p.features]
-                + [cluster, result.labels.get(cluster, "")]
-            )
+    write_csv(path, ["hashtag"] + [f"q{i}" for i in range(SERIES_LENGTH)]
+              + FEATURE_NAMES + ["cluster", "label"],
+              ([p.hashtag]
+               + [repr(float(x)) for x in p.series]
+               + [repr(float(x)) for x in p.features]
+               + [result.assignment[p.hashtag],
+                  result.labels.get(result.assignment[p.hashtag], "")]
+               for p in sorted(profiles, key=lambda p: p.hashtag)))
 
 
 def export_centroid_series(result: ClusterResult, profiles: list[TemporalProfile],
@@ -399,7 +392,7 @@ def export_centroid_series(result: ClusterResult, profiles: list[TemporalProfile
     series: dict[int, list[np.ndarray]] = {}
     for tag, cluster in result.assignment.items():
         series.setdefault(cluster, []).append(by_tag[tag].series)
-    payload = {
+    write_json(path, {
         "k": result.k,
         "silhouette": result.silhouette,
         "clusters": [
@@ -411,7 +404,4 @@ def export_centroid_series(result: ClusterResult, profiles: list[TemporalProfile
             }
             for c in sorted(series)
         ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })

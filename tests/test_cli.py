@@ -81,6 +81,15 @@ class TestStatsCommand:
         assert report["n_hashtags"] == 2
         assert report["n_hashtag_instances"] == 3
 
+    def test_wall_time_ignores_system_clock_steps(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        save_corpus(Corpus(posts=[PostRecord("a", ts(2013, 2), frozenset({"x"}))]), path)
+        clock = iter(range(10**9, 0, -1000))  # the system clock steps back on each read
+        monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+        out = tmp_path / "out"
+        assert run_cli(["stats", "--input", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["wall_time_s"] >= 0
+
     def test_missing_input_diagnostic(self, tmp_path, capsys):
         code = run_cli(["stats", "--input", str(tmp_path / "nope.jsonl"),
                         "--out", str(tmp_path / "out")])

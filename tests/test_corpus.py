@@ -183,6 +183,19 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 3: invalid user id ''"):
             load_friendships(friends)
 
+    @pytest.mark.parametrize("row", [",park", "l2,", ","])
+    def test_empty_location_or_category_rejected_with_line(self, tmp_path, row):
+        locations = tmp_path / "l.csv"
+        locations.write_text(f"location,category\nl1,bar\n{row}\n")
+        with pytest.raises(CorpusFormatError, match="line 3: empty location or category"):
+            load_location_categories(locations)
+
+    def test_location_listed_twice_rejected_with_line(self, tmp_path):
+        locations = tmp_path / "l.csv"
+        locations.write_text("location,category\nl1,bar\nl2,park\nl1,bar\n")
+        with pytest.raises(CorpusFormatError, match="line 4: location 'l1' listed twice"):
+            load_location_categories(locations)
+
     def test_csv_round_trip(self, tmp_path, three_post_corpus):
         path = tmp_path / "c.csv"
         save_corpus(three_post_corpus, path, format="csv")
@@ -204,6 +217,40 @@ class TestLoadCorpus:
         save_location_categories(cats, lp)
         assert load_friendships(fp) == friends
         assert load_location_categories(lp) == cats
+
+
+# each CSV reader with its header and two valid rows
+CSV_READERS = [
+    pytest.param(lambda path: load_corpus(path, format="csv"),
+                 "user,time,hashtags,location", "a,1,x;y,l1", "b,2,,", id="posts"),
+    pytest.param(load_friendships, "user_a,user_b", "a,b", "b,c", id="friends"),
+    pytest.param(load_location_categories, "location,category", "l1,park", "l2,bar",
+                 id="locations"),
+]
+
+
+@pytest.mark.parametrize("read, header, row, other", CSV_READERS)
+def test_csv_reader_checks_header_and_column_count(tmp_path, read, header, row, other):
+    path = tmp_path / "in.csv"
+    short = row.rsplit(",", 1)[0]
+    two_lines = short + ',"x\ny"'  # its last field spans two lines
+    n = header.count(",") + 1
+    cases = [
+        ("", "line 1: expected header .*, got None"),
+        ("wrong,header\n" + row + "\n", "line 1: expected header .*, got \\['wrong'"),
+        (f"{row}\n{other}\n", "line 1: expected header"),
+        (f"{header}\n{row}\n{short}\n", f"line 3: expected {n} columns, got {n - 1}"),
+        (f"{header}\n{row},extra\n", f"line 2: expected {n} columns, got {n + 1}"),
+        # blank lines are skipped but still counted
+        (f"{header}\n\n{row}\n\n{other},extra\n", "line 5: expected"),
+        (f"{header}\n{two_lines}\n{short}\n", "line 4: expected"),
+    ]
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(CorpusFormatError, match="^" + message):
+            read(path)
+    path.write_text(f"{header}\n\n{two_lines}\n\n\n{other}\n\n")
+    read(path)
 
 
 def count_builds(monkeypatch, name: str) -> list:

@@ -129,6 +129,16 @@ class TestRandomWalks:
         config = WalkConfig(walk_times=3, walk_length=10, seed=9)
         assert random_walks(graph, config) == random_walks(graph, config)
 
+    def test_tokens_of_one_node_are_one_string(self):
+        corpus = generate_synthetic(SyntheticSpec(users=15, hashtags=30,
+                                                  posts=800, seed=6))
+        walks = random_walks(build_graph(corpus), WalkConfig(walk_times=2, walk_length=9,
+                                                             seed=1))
+        first: dict[str, str] = {}
+        for token in (t for walk in walks for t in walk):
+            assert first.setdefault(token, token) is token
+        assert len(first) < sum(map(len, walks))
+
     def test_partitions_alternate(self):
         corpus = generate_synthetic(SyntheticSpec(users=15, hashtags=30,
                                                   posts=800, seed=6))

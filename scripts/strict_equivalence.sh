@@ -17,13 +17,17 @@
 #     spatial, each --strict, on that corpus; then the same three on the
 #     corpus converted to CSV by perfbench's jsonl_to_csv (the benchmark's
 #     own conversion, read from the working tree), so that the CSV reader is
-#     diffed too.
+#     diffed too; then synth once more at that shape with --communities 1
+#     --drifted 0, where the whole 3000-hashtag pool goes through the
+#     generator's community loop.
 # The working tree is also rerun twice more:
 #   - everything with OPENBLAS_NUM_THREADS=2: hashscope pins OpenBLAS to one
 #     thread whatever the caller sets, and --strict output must not depend on
 #     the BLAS thread count;
 #   - demo on one CPU (taskset -c 0), where `all` computes drift in-process
 #     instead of in its forked worker.
+# The working tree's src/ is copied at the start and every working-tree pass
+# runs from that copy, so an edit saved during the run cannot mix two versions.
 # Every command's artifacts, manifest, stdout, stderr and exit code are kept,
 # and the parent and both reruns are each compared with the working tree's by
 # diff -r.  Exits 0 and prints "no differences" when all of them match, then
@@ -38,6 +42,8 @@ trap 'rm -rf "$work"' EXIT
 
 mkdir "$work/parent-src"
 git -C "$root" archive "$ref" src | tar -x -C "$work/parent-src"
+mkdir "$work/change-src"
+cp -R "$root/src" "$work/change-src/src"
 
 # hashscope SRC_ROOT NAME ARGS...: one command, its stdout, stderr and exit
 # code kept as NAME.stdout, NAME.stderr and NAME.exit
@@ -91,6 +97,9 @@ jsonl_to_csv(Path(sys.argv[1]), Path(sys.argv[2]))' wide/corpus.jsonl wide/corpu
             --out wide-csv-temporal
         hashscope "$1" csv-spatial spatial "${input[@]}" \
             --locations wide/corpus.jsonl.locations.csv --out wide-csv-spatial
+        hashscope "$1" synth-one-community synth --seed 1 --users 1000 \
+            --hashtags 3000 --posts 40000 --communities 1 --drifted 0 --strict \
+            --out one-community/corpus.jsonl
     )
 }
 
@@ -102,11 +111,11 @@ run_all() {
 echo "running $ref ..."
 run_all "$work/parent-src" "$work/parent"
 echo "running the working tree ..."
-run_all "$root" "$work/change"
+run_all "$work/change-src" "$work/change"
 echo "running the working tree with OPENBLAS_NUM_THREADS=2 ..."
-(export OPENBLAS_NUM_THREADS=2; run_all "$root" "$work/change-2threads")
+(export OPENBLAS_NUM_THREADS=2; run_all "$work/change-src" "$work/change-2threads")
 echo "running the working tree's demo on one CPU ..."
-(taskset -p -c 0 "$BASHPID" >/dev/null; run_demo "$root" "$work/change-1cpu")
+(taskset -p -c 0 "$BASHPID" >/dev/null; run_demo "$work/change-src" "$work/change-1cpu")
 status=0
 diff -r "$work/parent" "$work/change" || status=1
 diff -r "$work/change" "$work/change-2threads" || status=1

@@ -15,6 +15,7 @@ always yields a byte-identical corpus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -235,21 +236,89 @@ def _temporal_profiles(spec: SyntheticSpec, pool: list[str]) -> np.ndarray:
     return profiles
 
 
+# a row's m-th Gumbel key is bounded below by the m-th key among this many
+# columns of largest weight (or among the m largest, if m is more)
+LEAD_COLUMNS = 32
+
+
+def _nonzero_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The next ``n`` nonzero doubles of ``rng.random()``: the doubles that
+    ``rng.gumbel`` turns into ``n`` variates, since it discards a 0.0 and
+    draws again."""
+    u = rng.random(n)
+    while u.min() == 0.0:
+        kept = u[u != 0.0]
+        u = np.concatenate([kept, rng.random(n - len(kept))])
+    return u
+
+
+def _approx_keys(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``log_w`` plus the Gumbel variates of ``u``, through numpy's ``log``,
+    whose last bit may differ from libm's."""
+    return log_w - np.log(-np.log(1.0 - u))
+
+
+def _near_tie_rows(rows: np.ndarray, keys: np.ndarray, picked: np.ndarray) -> list[int]:
+    """The rows in which a picked key is within 1e-12 (relative, floored at
+    1e-12 absolute) of the next key of its row; ``rows`` ascend and ``keys``
+    descend within a row."""
+    near = picked[:-1] & (rows[1:] == rows[:-1]) & (
+        keys[:-1] - keys[1:] <= 1e-12 * (1.0 + np.abs(keys[:-1])))
+    return sorted(set(rows[:-1][near].tolist()))
+
+
+def _exact_order(log_w: np.ndarray, u: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``cols`` by descending key, then by column, each key with the bits of
+    ``log_w[j] + rng.gumbel()``: numpy computes ``-log(-log(1 - u))`` with
+    libm's ``log``, as ``math.log`` does."""
+    keys = [lw - math.log(-math.log(1.0 - x))
+            for lw, x in zip(log_w[cols].tolist(), u[cols].tolist())]
+    return cols[np.lexsort((cols, np.negative(keys)))]
+
+
 def _gumbel_top_m(rng: np.random.Generator, log_w: np.ndarray,
                   sizes: np.ndarray) -> list[np.ndarray]:
-    """For each row size m, draw m distinct indices with probability ~ w.
+    """For each row size m (1 <= m <= len(log_w)), draw m distinct indices
+    with probability ~ w.
 
-    Gumbel-max sampling without replacement; rows are processed in one block.
+    Gumbel-top-k sampling without replacement (Kool et al. 2019): row r
+    picks the ``sizes[r]`` columns of largest key ``log_w + g``, where ``g``
+    is row r of ``rng.gumbel(size=(rows, len(log_w)))`` drawn in blocks of
+    ``2_000_000 // len(log_w)`` rows. The picks are in descending key order,
+    ties broken by column index, and the generator is left as those draws
+    leave it.
+
+    A block draws its doubles with ``rng.random``, which yields the ones
+    ``rng.gumbel`` uses, and computes keys only for columns that can reach a
+    row's top: since ``-log(1 - u) >= u``, column j's key reaches t only if
+    ``u <= w[j] * exp(-t)``. t is the row's m-th key among the ``lead``
+    columns of largest weight, lowered by a margin far above rounding error,
+    so it never exceeds the row's m-th key. Keys go through numpy's ``log``;
+    a row with a near tie among its picks is ordered again through libm's.
     """
-    n, m_max = len(sizes), int(sizes.max())
+    v = len(log_w)
+    w = np.exp(log_w)
+    lead = np.argsort(-log_w)[:max(int(sizes.max()), LEAD_COLUMNS)]
+    chunk = max(1, 2_000_000 // max(v, 1))
     picks: list[np.ndarray] = []
-    chunk = max(1, 2_000_000 // max(len(log_w), 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        keys = log_w[None, :] + rng.gumbel(size=(hi - lo, len(log_w)))
-        top = np.argpartition(-keys, min(m_max, len(log_w) - 1), axis=1)[:, :m_max]
-        for r, size in enumerate(sizes[lo:hi]):
-            picks.append(top[r, :size])
+    for lo in range(0, len(sizes), chunk):
+        size = sizes[lo:lo + chunk]
+        n = len(size)
+        u = _nonzero_uniforms(rng, n * v).reshape(n, v)
+        bound = np.sort(_approx_keys(log_w[lead], u[:, lead]), axis=1)[
+            np.arange(n), len(lead) - size]
+        bound -= 1e-9 * (1.0 + np.abs(bound))
+        rows, cols = np.divmod(np.flatnonzero(u <= np.multiply.outer(np.exp(-bound), w)), v)
+        keys = _approx_keys(log_w[cols], u[rows, cols])
+        order = np.lexsort((-keys, rows))
+        rows, cols, keys = rows[order], cols[order], keys[order]
+        counts = np.bincount(rows, minlength=n)
+        starts = np.cumsum(counts) - counts
+        picked = np.arange(len(rows)) - starts[rows] < size[rows]
+        for r in _near_tie_rows(rows, keys, picked):
+            row = slice(starts[r], starts[r] + counts[r])
+            cols[row] = _exact_order(log_w, u[r], cols[row])
+        picks.extend(cols[s:s + m] for s, m in zip(starts.tolist(), size.tolist()))
     return picks
 
 

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from hashscope import synth
 from hashscope.corpus import QuarterBucket, save_corpus
 from hashscope.social import sample_strangers
-from hashscope.synth import SynthesisError, SyntheticSpec, demo_spec, generate_synthetic
+from hashscope.synth import (
+    SynthesisError, SyntheticSpec, _approx_keys, _exact_order, _gumbel_top_m,
+    _near_tie_rows, _nonzero_uniforms, demo_spec, generate_synthetic,
+)
 
 
 class TestDeterminism:
@@ -183,3 +189,146 @@ class TestDemoSpec:
         assert len(corpus.posts) == 30000
         assert corpus.friendships
         assert corpus.location_categories
+
+
+def ref_gumbel_top_m(rng, log_w, sizes):
+    """The sampler the generator used before it computed keys only for
+    columns that can win: every column's Gumbel key, then the first m of an
+    ``argpartition`` prefix. numpy does not specify that prefix's order; it
+    came out in key order in every row tried at sizes below 25, and a row
+    whose prefix is out of order gets a wrong top m."""
+    n, m_max = len(sizes), int(sizes.max())
+    picks = []
+    chunk = max(1, 2_000_000 // max(len(log_w), 1))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        keys = log_w[None, :] + rng.gumbel(size=(hi - lo, len(log_w)))
+        top = np.argpartition(-keys, min(m_max, len(log_w) - 1), axis=1)[:, :m_max]
+        for r, size in enumerate(sizes[lo:hi]):
+            picks.append(top[r, :size])
+    return picks
+
+
+def pool_log_w(v, zipf_exponent, seed):
+    """Log weights as the generator builds them: Zipf over a popularity rank,
+    times a per-column profile, in no particular column order."""
+    rng = np.random.default_rng(seed)
+    ranks = rng.permutation(v) + 1
+    return -zipf_exponent * np.log(ranks) + np.log(rng.uniform(0.1, 3.0, v))
+
+
+def post_sizes(v, rows, seed):
+    """Row sizes as the generator draws them: 1 + Poisson(2), at most v."""
+    return np.minimum(1 + np.random.default_rng(seed).poisson(2.0, rows), v)
+
+
+def same_picks(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class ScriptedRng:
+    """A generator stand-in whose ``random(n)`` returns the next n of ``values``."""
+
+    def __init__(self, values):
+        self.values, self.taken = list(values), 0
+
+    def random(self, n):
+        out = self.values[self.taken:self.taken + n]
+        self.taken += n
+        return np.array(out, dtype=np.float64)
+
+
+class TestGumbelTopM:
+    @pytest.mark.parametrize("zipf_exponent", [0.0, 0.8])
+    @pytest.mark.parametrize("v", [1, 2, 22, 175, 375, 3000])
+    def test_matches_reference_sampler(self, v, zipf_exponent):
+        log_w = pool_log_w(v, zipf_exponent, seed=v) if zipf_exponent else np.zeros(v)
+        # 1500 rows of 3000 columns span three 2_000_000 // v blocks
+        sizes = post_sizes(v, 1500 if v == 3000 else 400, seed=v)
+        if v <= 22:
+            sizes[::5] = v
+        old, new = np.random.default_rng(7), np.random.default_rng(7)
+        assert same_picks(ref_gumbel_top_m(old, log_w, sizes), _gumbel_top_m(new, log_w, sizes))
+        assert old.bit_generator.state == new.bit_generator.state
+
+    @pytest.mark.parametrize("v", [175, 3000])
+    def test_picks_are_top_keys_in_key_order(self, v):
+        # at sizes up to the generator's cap of 28 the reference sampler's
+        # argpartition prefix can be out of order; here the picks are checked
+        # against a full stable sort of the same Gumbel keys instead
+        log_w = pool_log_w(v, 0.8, seed=102)
+        sizes = post_sizes(v, 1500 if v == 3000 else 400, seed=v)
+        sizes[::7] = 28
+        ranked, rng = [], np.random.default_rng(2)
+        chunk = 2_000_000 // v
+        for lo in range(0, len(sizes), chunk):
+            keys = log_w + rng.gumbel(size=(len(sizes[lo:lo + chunk]), v))
+            ranked.extend(np.argsort(-keys, axis=1, kind="stable"))
+        new = np.random.default_rng(2)
+        picks = _gumbel_top_m(new, log_w, sizes)
+        assert same_picks(picks, [r[:m] for r, m in zip(ranked, sizes)])
+        assert new.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("spec", [
+        # test_acceptance.py's criterion 8 spec: pair-affinity swaps are drawn
+        # per pick, so they follow the pick order
+        SyntheticSpec(users=300, hashtags=168, posts=30000, years=1, start_year=2013,
+                      communities=24, community_mix=0.92, pair_affinity=1.0,
+                      zipf_exponent=0.8, mean_extra_tags=2.5, seed=17),
+        # one community: every post draws from the whole pool, in one loop
+        SyntheticSpec(users=200, hashtags=1200, posts=8000, periodic=10, meteor=5,
+                      communities=1, located_rate=0.3, seed=4),
+    ], ids=["pair-affinity", "one-community"])
+    def test_generator_matches_reference_sampler(self, spec, monkeypatch):
+        new = generate_synthetic(spec)
+        monkeypatch.setattr(synth, "_gumbel_top_m", ref_gumbel_top_m)
+        old = generate_synthetic(spec)
+        assert new.posts == old.posts
+        assert new.friendships == old.friendships
+        assert new.location_categories == old.location_categories
+
+    def test_zero_draws_are_redrawn_in_order(self):
+        rng = ScriptedRng([0.5, 0.0, 0.25, 0.0, 0.0, 0.75, 0.125, 0.9])
+        u = _nonzero_uniforms(rng, 4)
+        assert u.tolist() == [0.5, 0.25, 0.75, 0.125]
+        # rng.gumbel takes the same seven doubles for four variates
+        assert rng.taken == 7
+
+    def test_math_log_reproduces_gumbel_bits(self):
+        g = np.random.default_rng(11).gumbel(size=100_000)
+        u = np.random.default_rng(11).random(100_000)
+        exact = np.array([0.0 - math.log(-math.log(1.0 - x)) for x in u.tolist()])
+        assert np.array_equal(g.view(np.int64), exact.view(np.int64))
+
+    def test_exact_order_follows_gumbel_bits_through_near_ties(self):
+        # log weights that cancel numpy's keys leave keys a few ulps apart,
+        # so only exact arithmetic orders them
+        u = np.random.default_rng(5).random(200)
+        log_w = 3.0 - _approx_keys(np.zeros(200), u)
+        keys = log_w + np.random.default_rng(5).gumbel(size=200)
+        assert len(np.unique(keys)) > 1
+        expected = np.lexsort((np.arange(200), -keys))
+        cols = np.random.default_rng(6).permutation(200)
+        assert np.array_equal(_exact_order(log_w, u, cols), expected)
+        # and the sampler, whose one row draws the same doubles, falls back to it
+        (picks,) = _gumbel_top_m(np.random.default_rng(5), log_w, np.array([200]))
+        assert np.array_equal(picks, expected)
+
+    def test_exact_order_breaks_equal_keys_by_column(self):
+        # a smaller double gives a larger key
+        u = np.array([0.3, 0.7, 0.3, 0.5])
+        assert _exact_order(np.zeros(4), u, np.array([3, 2, 1, 0])).tolist() == [0, 2, 3, 1]
+
+    def test_near_tie_rows(self):
+        rows = np.array([0, 0, 0, 1, 1, 1, 2, 3, 3])
+        keys = np.array([9.0, 5.0, 5.0 - 1e-13,   # last pick ties the next key
+                         7.0, 6.0, 6.0,           # a tie past the picks
+                         2.0,                     # equal to the next row's first
+                         2.0, 2.0 - 1e-9])        # apart by more than 1e-12
+        picked = np.array([True, True, False, True, False, False, True, True, False])
+        assert _near_tie_rows(rows, keys, picked) == [0]
+
+    def test_equal_keys_pick_in_column_order(self):
+        rng = ScriptedRng([0.5] * 100)
+        picks = _gumbel_top_m(rng, np.zeros(50), np.array([3, 50]))
+        assert [p.tolist() for p in picks] == [[0, 1, 2], list(range(50))]

@@ -12,6 +12,10 @@
 #     process and never in the worker that `all` forks for drift, and drift
 #     once more with --window 3: demo posts carry at most 13 hashtags, so
 #     only a window that small clips skip-gram contexts at sentence ends;
+#     then social with --social-negatives 1 and drift with --negatives 1
+#     --batch-size 7, so that the trainer's two-pass output update (targets,
+#     then negatives) also runs with one negative per example and with a
+#     ragged last batch of each epoch;
 #   - wide: the wide-cli corpus shape: synth --seed 1 --users 1000
 #     --hashtags 3000 --posts 40000, then stats, temporal --top-k 2000 and
 #     spatial, each --strict, on that corpus; then the same three on the
@@ -74,6 +78,11 @@ run_demo() {
             --seed 1 --strict --out drift-window3
         hashscope "$1" social social --input all/corpus.jsonl \
             --friends all/corpus.friends.csv --seed 1 --strict --out social
+        hashscope "$1" social-k1 social --input all/corpus.jsonl \
+            --friends all/corpus.friends.csv --social-negatives 1 \
+            --seed 1 --strict --out social-k1
+        hashscope "$1" drift-k1-batch7 drift --input all/corpus.jsonl \
+            --negatives 1 --batch-size 7 --seed 1 --strict --out drift-k1-batch7
     )
 }
 

@@ -151,6 +151,18 @@ def _csr_rows(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending, as ``np.unique`` gives
+    them: sorted, then each one kept that differs from its predecessor.  A
+    plain ``np.unique`` imports ``numpy.ma`` on its first call (about 15 ms
+    and 1.7 MB)."""
+    v = np.sort(values)
+    keep = np.empty(len(v), dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 def post_columns(user_ids, times, location_ids, tag_offsets, tag_ids,
                  user_names: list[str], tag_names: list[str],
                  location_names: list[str]) -> PostColumns:

@@ -11,16 +11,24 @@ slots or skip-gram pairs.  Negatives are read from an exact guide table over
 the noise CDF and equal ``searchsorted`` draws of the same uniforms.
 Training is mini-batched numpy SGD: gradients within a batch are computed at
 the batch's starting parameters, and scatter-adds apply every pair's update,
-so results are bit-reproducible for a fixed seed.  Input vectors are
-initialized per token from a hash of the token text, which makes tables
-trained on overlapping vocabularies start from comparable coordinates.
+so results are bit-reproducible for a fixed seed.  The scatter-adds and CBOW
+context sums call scipy's compiled CSR/CSC kernels on the batch's index
+arrays directly, and the output-side update adds each coefficient times its
+hidden row in two passes (targets, then negatives) instead of building the
+batch's gradient rows first, which adds the same terms in the same order.
+Input vectors are initialized per token from a hash of the token text, which
+makes tables trained on overlapping vocabularies start from comparable
+coordinates.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import math
+import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -248,55 +256,109 @@ def _draw_negatives(guide: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.nda
     return out
 
 
+@functools.cache
+def _kernels():
+    """scipy's compiled sparse kernels, ``scipy.sparse._sparsetools``, loaded
+    on the first training step.  The extension file is loaded on its own: it
+    needs only numpy, while importing it through the ``scipy.sparse`` package
+    costs about 0.28 s and loads ``numpy.ma``."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    import importlib.machinery
+    import importlib.util
+
+    import scipy
+
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.__path__[0], "sparse"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(name)
+    if spec is None:  # not a plain extension file; take the package's import
+        from scipy.sparse import _sparsetools
+        return _sparsetools
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # loading registered it; a later ``import scipy.sparse`` should load it
+    # again as a submodule of its package
+    del sys.modules[name]
+    return module
+
+
+def _matvecs(fmt: str, indptr, indices, data, x, out) -> None:
+    """``out += A @ x`` in scipy's compiled kernel, ``A`` the ``fmt`` ('csr'
+    or 'csc') matrix ``(data, indices, indptr)`` of shape ``(len(out), len(x))``.
+
+    Entry ``(i, j)`` adds ``data * x[j]`` to ``out[i]``, one rounded product
+    and one rounded sum (scipy 1.17.1's x86-64 kernel has no fused
+    multiply-add), row by row for CSR and column by column for CSC, entries
+    in storage order.  Indices
+    must lie in range; nothing checks them.  The kernel writes through
+    ``out.ravel()``, a copy for a non-contiguous ``out``, and may convert
+    arrays of other types, so anything but int32 indices, float32 values and
+    a C-contiguous 2-d output is rejected rather than risk an update lost or
+    changed without an error.
+    """
+    n_row, n_col = len(out), len(x)
+    if not (indptr.dtype == indices.dtype == np.int32
+            and data.dtype == x.dtype == out.dtype == np.float32
+            and out.ndim == 2 and out.flags.c_contiguous
+            and x.shape[1:] == out.shape[1:]
+            and len(indptr) == (n_row if fmt == "csr" else n_col) + 1):
+        raise TypeError("sparse kernel needs int32 indices, float32 values, "
+                        "a C-contiguous 2-d float32 output and matching shapes")
+    kernel = getattr(_kernels(), fmt + "_matvecs")
+    kernel(n_row, n_col, out.shape[1], indptr, indices, data, x, out.ravel())
+
+
 def _scatter_add(matrix: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
     """matrix[rows] += grads with duplicate rows accumulated.
 
-    A CSC operator with one entry per column needs no COO->CSR sort, and its
-    product adds each row's terms in input order, so the sums match a
-    sequential accumulation bit for bit.
+    A CSC product with one unit entry per column adds each row's terms in
+    input order onto a zeroed buffer, so the sums match a sequential
+    accumulation bit for bit.
     """
-    if len(rows) == 0:
+    n = len(rows)
+    if n == 0:
         return
-    from scipy import sparse  # imported on first training step, not at CLI start
-
-    ones = np.ones(len(rows), dtype=np.float32)
-    s = sparse.csc_matrix(
-        (ones, rows, np.arange(len(rows) + 1)), shape=(len(matrix), len(rows))
-    )
-    matrix += s @ grads
-
-
-def _context_sum(ctx: np.ndarray, n_vocab: int):
-    """CSR operator summing each padded context row, and the clamped row
-    counts as float32.
-
-    Row b of ``A @ w_in`` adds the non-pad context vectors of ``ctx[b]`` in
-    column order; ``A.T @ g`` spreads row gradients back onto the vocabulary.
-    Repeated ids stay separate unit entries, never merged, so every sum adds
-    the same terms in the same order as a dense gather would.
-    """
-    from scipy import sparse  # imported on first training step, not at CLI start
-
-    mask = ctx >= 0
-    counts = mask.sum(axis=1)
-    indices = ctx[mask]
-    a = sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.float32), indices, np.r_[0, np.cumsum(counts)]),
-        shape=(len(ctx), n_vocab),
-    )
-    return a, np.maximum(counts, 1).astype(np.float32)
+    acc = np.zeros_like(matrix)
+    _matvecs("csc", np.arange(n + 1, dtype=np.int32), rows.astype(np.int32, copy=False),
+             np.ones(n, dtype=np.float32), grads, acc)
+    matrix += acc
 
 
 def _step(w_in, w_out, targets, ctx, negs, lr):
-    """One SGD step on a batch.  A width-1 context (skip-gram, or CBOW over
-    two-token sentences) is never padded, so its context sum is a gather."""
+    """One SGD step on a batch.
+
+    A width-1 context (skip-gram, or CBOW over two-token sentences) is never
+    padded, so its context sum is a gather; a wider one is the product of a
+    CSR operator with one unit entry per non-pad context id, repeats kept
+    apart, which adds each row's vectors in column order.  Every update
+    accumulates onto a zeroed buffer that is then added to the matrix once,
+    so each row sums its terms in the order a sequential scatter-add would.
+    The output side takes each term ``-lr * g * h`` as the kernel's own
+    product of coefficient and hidden row, in two CSC passes: every target
+    in batch order, then every negative in (batch, k) order.  Those are the
+    terms and the order of one scatter of a materialised gradient buffer, so
+    the bits are the same without building it; one interleaved pass would
+    not be.
+    """
     lr = np.float32(lr)
-    if ctx.shape[1] == 1:
+    (b, width), k = ctx.shape, negs.shape[1]
+    if width == 1:
         rows = ctx[:, 0]
         h = w_in[rows]
     else:
-        a, counts = _context_sum(ctx, len(w_in))
-        h = a @ w_in
+        mask = ctx >= 0
+        counts = mask.sum(axis=1)
+        indices = ctx[mask]
+        indptr = np.zeros(b + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        ones = np.ones(len(indices), dtype=np.float32)
+        h = np.zeros((b, w_in.shape[1]), dtype=np.float32)
+        _matvecs("csr", indptr, indices, ones, w_in, h)
+        counts = np.maximum(counts, 1).astype(np.float32)
         h /= counts[:, None]
     wt = w_out[targets]
     wn = w_out[negs]
@@ -304,19 +366,22 @@ def _step(w_in, w_out, targets, ctx, negs, lr):
     g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, h)).astype(np.float32)
     g_neg *= negs != targets[:, None]
     grad_h = g_pos[:, None] * wt + np.einsum("bk,bkd->bd", g_neg, wn)
-    if ctx.shape[1] == 1:
+    if width == 1:
         grad_h *= -lr
         _scatter_add(w_in, rows, grad_h)
     else:
         grad_h /= counts[:, None]
         grad_h *= -lr
-        w_in += a.T @ grad_h
-    # output-side rows: every target, then every negative, in one buffer
-    (b, d), k = h.shape, negs.shape[1]
-    out_grads = np.empty((b * (1 + k), d), dtype=np.float32)
-    np.multiply(-lr * g_pos[:, None], h, out=out_grads[:b])
-    np.multiply(-lr * g_neg[:, :, None], h[:, None, :], out=out_grads[b:].reshape(b, k, d))
-    _scatter_add(w_out, np.concatenate((targets, negs.ravel())), out_grads)
+        acc = np.zeros_like(w_in)
+        _matvecs("csc", indptr, indices, ones, grad_h, acc)
+        w_in += acc
+    g_pos *= -lr
+    g_neg *= -lr
+    acc = np.zeros_like(w_out)
+    _matvecs("csc", np.arange(b + 1, dtype=np.int32), targets, g_pos, h, acc)
+    _matvecs("csc", np.arange(0, b * k + 1, k, dtype=np.int32), negs.ravel(),
+             g_neg.ravel(), h, acc)
+    w_out += acc
 
 
 def _pin_malloc_thresholds() -> None:

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, QuarterBucket, quarter_range, top_k_hashtags, write_json
+from .corpus import (Corpus, QuarterBucket, quarter_range, sorted_distinct, top_k_hashtags,
+                     write_json)
 
 
 @dataclass
@@ -84,8 +85,8 @@ def report_stats(corpus: Corpus, top_k: int = 10) -> StatsReport:
     active = pos * n_user_ids + corpus.user_ids
     posts_q, tagged_q, users_q, sharing_q = (
         np.bincount(q, minlength=len(quarters))
-        for q in (pos, pos[tagged], np.unique(active) // n_user_ids,
-                  np.unique(active[tagged]) // n_user_ids))
+        for q in (pos, pos[tagged], sorted_distinct(active) // n_user_ids,
+                  sorted_distinct(active[tagged]) // n_user_ids))
 
     adoption = []
     for i, q in enumerate(quarters):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, write_csv, write_json
+from .corpus import Corpus, sorted_distinct, write_csv, write_json
 from .embedding import TrainConfig, cosine_distance, train
 
 USER_PREFIX = "u:"
@@ -73,7 +73,7 @@ def build_graph(corpus: Corpus) -> BipartiteGraph:
     if not len(counts):
         raise GraphError("corpus has no hashtag-bearing posts")
 
-    sharers = sorted(np.unique(pair_users).tolist(), key=corpus.user_names.__getitem__)
+    sharers = sorted(sorted_distinct(pair_users).tolist(), key=corpus.user_names.__getitem__)
     users = [corpus.user_names[u] for u in sharers]
     excluded = sorted(corpus.users - set(users))
     # user nodes in name order, then one hashtag node per hashtag id (every

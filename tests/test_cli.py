@@ -483,8 +483,9 @@ def test_cli_import_does_not_load_scipy_stats():
 
 
 def test_cli_start_does_not_load_scipy_sparse():
-    # only embedding training needs scipy.sparse and only `all` starts a
-    # worker process; stats, temporal and spatial never pay for the imports
+    # only embedding training needs scipy's sparse kernels and only `all`
+    # starts a worker process; stats, temporal and spatial never pay for the
+    # imports
     code = (
         "import sys\n"
         "from hashscope.cli import main\n"
@@ -500,6 +501,24 @@ def test_cli_start_does_not_load_scipy_sparse():
                          text=True, env=cli_env(), check=True)
     assert "usage:" in out.stdout
     assert out.stderr.splitlines() == ["after import: []", "after --help: []"]
+
+
+@pytest.mark.parametrize("command", ["stats", "social"])
+def test_command_does_not_load_numpy_ma(tmp_path, command):
+    # a plain np.unique imports numpy.ma on its first call, and so does the
+    # scipy.sparse package; stats and social (which trains) need neither
+    posts, friends, _ = small_corpus_files(tmp_path)
+    args = [command, "--input", str(posts), "--out", str(tmp_path / "out"), "--seed", "3"]
+    if command == "social":
+        args += ["--friends", str(friends), "--walk-times", "4", "--walk-length", "10",
+                 "--profile-dim", "16", "--social-epochs", "2"]
+    code = ("import sys\n"
+            "from hashscope.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print(status, 'numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, env=cli_env(), check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 def test_svd_independent_of_blas_thread_setting():

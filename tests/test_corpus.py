@@ -20,6 +20,7 @@ from hashscope.corpus import (
     save_corpus,
     save_friendships,
     save_location_categories,
+    sorted_distinct,
     top_k_hashtags,
 )
 from hashscope.social import build_graph
@@ -392,6 +393,19 @@ class TestUserTagCounts:
         assert sharers(2013) == [[0, 1], [0, 2, 3], [2, 1, 1]]
         assert sharers(2012) == [[0], [0, 1], [1]]
         assert sharers(2014) == [[], [0], []]
+
+
+@pytest.mark.parametrize("values", [
+    np.array([], dtype=np.int64),
+    np.array([7]),
+    np.array([3, 1, 3, 2, 1, 3]),
+    np.arange(10, 0, -1, dtype=np.int32),
+    np.random.default_rng(0).integers(-50, 50, 2000),
+])
+def test_sorted_distinct_matches_unique(values):
+    got, want = sorted_distinct(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 class TestPostColumns:

@@ -24,6 +24,7 @@ from hashscope.embedding import (
     _Examples,
     _guide_table,
     _log_sigmoid,
+    _matvecs,
     _noise_cdf,
     _scatter_add,
     _sigmoid,
@@ -202,9 +203,11 @@ def cbow_batch(rng, vocab, dim, batch, width, negatives=3):
     return w_in, w_out, targets, ctx, negs
 
 
-# (vocab, dim, batch, context width): duplicate ids are certain at vocab 4,
-# batches of 3 and 7 are ragged against any power-of-two batch size
-SPARSE_SHAPES = [(4, 3, 7, 6), (50, 8, 3, 3), (485, 64, 257, 20), (30, 5, 64, 2)]
+# (vocab, dim, batch, context width[, negatives]): duplicate ids are certain
+# at vocab 4, batches of 3 and 7 are ragged against any power-of-two batch
+# size; then social's demo shape, a batch of one, and one negative per example
+SPARSE_SHAPES = [(4, 3, 7, 6), (50, 8, 3, 3), (485, 64, 257, 20), (30, 5, 64, 2),
+                 (485, 64, 1024, 20, 5), (6, 4, 1, 5, 3), (40, 8, 33, 6, 1)]
 
 
 class TestSparseOperatorsMatchDense:
@@ -215,13 +218,14 @@ class TestSparseOperatorsMatchDense:
     def test_step_cbow(self, shape):
         rng = np.random.default_rng(sum(shape))
         w_in, w_out, targets, ctx, negs = cbow_batch(rng, *shape)
+        ctx[0, :3] = 1  # a batch of one is also the all-padding last row
         exp_in, exp_out = w_in.copy(), w_out.copy()
         dense_step_cbow(exp_in, exp_out, targets, ctx, negs, 0.3)
         before = w_in.copy()
         _step(w_in, w_out, targets, ctx, negs, 0.3)
         assert not np.array_equal(w_in, before)
-        assert np.array_equal(w_in, exp_in)
-        assert np.array_equal(w_out, exp_out)
+        assert w_in.tobytes() == exp_in.tobytes()
+        assert w_out.tobytes() == exp_out.tobytes()
 
     @pytest.mark.parametrize("n_rows", [0, 1, 9, 3000])
     def test_scatter_add_with_duplicate_rows(self, n_rows):
@@ -233,6 +237,31 @@ class TestSparseOperatorsMatchDense:
         dense_scatter_add(expected, rows, grads)
         _scatter_add(matrix, rows, grads)
         assert np.array_equal(matrix, expected)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_negatives_equal_to_their_target(self, k, width):
+        # a negative equal to its target has its coefficient zeroed, so its
+        # output term is a signed zero; zeros in the tables make some of those
+        # terms -0.0 and leave rows that only signed zeros reach
+        rng = np.random.default_rng(k)
+        if width == 1:
+            w_in, w_out, centers, targets, negs = skipgram_batch(rng, 9, 4, 50, k)
+            ctx = centers[:, None]
+        else:
+            w_in, w_out, targets, ctx, negs = cbow_batch(rng, 9, 4, 50, width, k)
+        negs[:, 0] = targets
+        negs[::2] = targets[::2, None]
+        w_in[::3, ::2] = -0.0
+        w_out[::2, 1::2] = -0.0
+        exp_in, exp_out = w_in.copy(), w_out.copy()
+        if width == 1:
+            ref_step_skipgram(exp_in, exp_out, ctx[:, 0], targets, negs, 0.3)
+        else:
+            dense_step_cbow(exp_in, exp_out, targets, ctx, negs, 0.3)
+        _step(w_in, w_out, targets, ctx, negs, 0.3)
+        assert w_in.tobytes() == exp_in.tobytes()
+        assert w_out.tobytes() == exp_out.tobytes()
 
     def test_cbow_training_matches_dense(self, monkeypatch):
         cfg = TrainConfig(mode="cbow", dimension=8, window=3, epochs=2,
@@ -395,15 +424,40 @@ class TestSkipgramAsWidthOneCbow:
         assert np.array_equal(ctx[:, 0], centers)
         assert np.array_equal(targets, contexts)
 
-    @pytest.mark.parametrize("shape", [(4, 3, 7), (50, 8, 3), (485, 100, 257)])
+    # (vocab, dim, batch[, negatives]); then drift's demo shape, a batch of
+    # one, and one negative per example
+    @pytest.mark.parametrize("shape", [(4, 3, 7), (50, 8, 3), (485, 100, 257),
+                                       (185, 100, 1024, 5), (6, 4, 1, 3), (40, 8, 33, 1)])
     def test_width_one_step_matches_skipgram_step(self, shape):
         rng = np.random.default_rng(sum(shape))
         w_in, w_out, centers, contexts, negs = skipgram_batch(rng, *shape)
         exp_in, exp_out = w_in.copy(), w_out.copy()
         ref_step_skipgram(exp_in, exp_out, centers, contexts, negs, 0.3)
         _step(w_in, w_out, contexts, centers[:, None], negs, 0.3)
-        assert np.array_equal(w_in, exp_in)
-        assert np.array_equal(w_out, exp_out)
+        assert w_in.tobytes() == exp_in.tobytes()
+        assert w_out.tobytes() == exp_out.tobytes()
+
+    def test_interleaved_output_order_is_seen(self):
+        # the output terms added example by example (each target, then its
+        # negatives) are the same terms in another order: close, but not the
+        # oracle's bits, so the bitwise tests can tell the two orders apart
+        rng = np.random.default_rng(3)
+        w_in, w_out, centers, contexts, negs = skipgram_batch(rng, 185, 100, 1024, 5)
+        exp_in, exp_out = w_in.copy(), w_out.copy()
+        ref_step_skipgram(exp_in, exp_out, centers, contexts, negs, 0.3)
+        lr = np.float32(0.3)
+        vc = w_in[centers]
+        wo, wn = w_out[contexts], w_out[negs]
+        g_pos = (_sigmoid(np.einsum("bd,bd->b", vc, wo)) - 1.0).astype(np.float32)
+        g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, vc)).astype(np.float32)
+        g_neg *= negs != contexts[:, None]
+        coef = np.column_stack((g_pos, g_neg))  # (target, negatives) per example
+        rows = np.column_stack((contexts, negs)).ravel()
+        grads = (-lr * coef[:, :, None] * vc[:, None, :]).reshape(-1, vc.shape[1])
+        interleaved = w_out.copy()
+        dense_scatter_add(interleaved, rows, grads)
+        assert np.allclose(interleaved, exp_out, rtol=0, atol=1e-6)
+        assert not np.array_equal(interleaved, exp_out)
 
     def test_skipgram_training_matches_reference(self, monkeypatch):
         cfg = TrainConfig(mode="skipgram", dimension=8, window=2, epochs=2,
@@ -448,6 +502,57 @@ class TestSkipgramAsWidthOneCbow:
         _step(w_in, w_out, contexts, centers[:, None], negs, 0.3)
         assert w_in.tobytes() == exp_in.tobytes()
         assert w_out.tobytes() == exp_out.tobytes()
+
+
+class TestSparseKernel:
+    """``_matvecs`` adds ``A @ x`` onto its output and refuses anything but
+    int32 indices, float32 values and a C-contiguous output: the kernel
+    writes a transposed output's update into a copy and loses it."""
+
+    def operands(self):
+        indptr = np.array([0, 2, 3, 3], dtype=np.int32)  # 3 columns, last empty
+        indices = np.array([1, 1, 0], dtype=np.int32)
+        data = np.array([0.5, 2.0, -1.0], dtype=np.float32)
+        x = np.arange(6, dtype=np.float32).reshape(3, 2)
+        return indptr, indices, data, x
+
+    def test_adds_the_product(self):
+        indptr, indices, data, x = self.operands()
+        out = np.ones((2, 2), dtype=np.float32)
+        _matvecs("csc", indptr, indices, data, x, out)
+        assert out.tolist() == [[1 - 2, 1 - 3], [1 + 0 + 0, 1 + 0.5 + 2]]
+        # read as CSR, the same arrays are the 3 x 2 transpose
+        out_t = np.ones((3, 2), dtype=np.float32)
+        _matvecs("csr", indptr, indices, data, out.copy(), out_t)
+        assert out_t.tolist() == [[1 + 0.5 * 1 + 2 * 1, 1 + 0.5 * 3.5 + 2 * 3.5],
+                                  [1 - 1 * -1, 1 - 1 * -2], [1, 1]]
+
+    @pytest.mark.parametrize("bad", ["int64 indices", "int64 indptr", "float64 data",
+                                     "float64 x", "float64 out", "transposed out",
+                                     "strided out", "short indptr"])
+    def test_rejects_other_arrays(self, bad):
+        indptr, indices, data, x = self.operands()
+        out = np.ones((2, 2), dtype=np.float32)
+        if bad == "int64 indices":
+            indices = indices.astype(np.int64)
+        elif bad == "int64 indptr":
+            indptr = indptr.astype(np.int64)
+        elif bad == "float64 data":
+            data = data.astype(np.float64)
+        elif bad == "float64 x":
+            x = x.astype(np.float64)
+        elif bad == "float64 out":
+            out = out.astype(np.float64)
+        elif bad == "transposed out":
+            out = np.ones((2, 2), dtype=np.float32).T
+        elif bad == "strided out":
+            out = np.ones((2, 4), dtype=np.float32)[:, ::2]
+        else:
+            indptr = indptr[:-1]
+        before = out.copy()
+        with pytest.raises(TypeError, match="sparse kernel"):
+            _matvecs("csc", indptr, indices, data, x, out)
+        assert np.array_equal(out, before)
 
 
 class TestGuideTable:

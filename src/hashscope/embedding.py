@@ -1,18 +1,18 @@
 """Shallow embedding trainer: skip-gram and CBOW with negative sampling.
 
 Token sequences go in, a vocabulary-indexed dense vector table comes out.
-Both modes share one example layout and step: a skip-gram pair is a CBOW
-example whose context is the single center token, and its one-entry
-context sum is that token's vector exactly, taken as a gather.
-Each batch's integer rows are built when the batch is drawn, from one int32
-token array and each token's position and sentence length, so training
-memory follows the token count and the batch, not the number of context
-slots or skip-gram pairs.  Negatives are read from an exact guide table over
-the noise CDF and equal ``searchsorted`` draws of the same uniforms.
+Both modes share one batch form and step: each example is a CSR row of
+context token ids, and a skip-gram pair is a CBOW example whose one-entry
+row is the center token.  Each batch's rows are built when the batch is
+drawn, from one int32 token array and each token's position and sentence
+length, so training memory follows the token count and the batch, not the
+number of context slots or skip-gram pairs.  Negatives are read from an
+exact guide table over the noise CDF and equal ``searchsorted`` draws of the
+same uniforms.
 Training is mini-batched numpy SGD: gradients within a batch are computed at
 the batch's starting parameters, and scatter-adds apply every pair's update,
-so results are bit-reproducible for a fixed seed.  The scatter-adds and CBOW
-context sums call scipy's compiled CSR/CSC kernels on the batch's index
+so results are bit-reproducible for a fixed seed.  The context sums and
+scatter-adds call scipy's compiled CSR/CSC kernels on the batch's index
 arrays directly, and the output-side update adds each coefficient times its
 hidden row in two passes (targets, then negatives) instead of building the
 batch's gradient rows first, which adds the same terms in the same order.
@@ -176,12 +176,12 @@ class _Examples:
     within a length), then positions.  A CBOW example is one row: the token
     at position ``i`` is the target, and its context is every other position
     in ``[lo, hi)``, ``lo = max(0, i - w)``, ``hi = min(L, i + w + 1)``,
-    ascending, padded with -1 to the corpus's widest context.  A skip-gram
-    example is one in-window neighbour of a row: the neighbour is the target
-    and the row's token is its only context, in (row, neighbour) order.
-    Only three int32 arrays of one entry per token (and, for skip-gram, the
-    per-row example offsets) are kept, so memory follows the token count and
-    the batch size, not the number of context slots or pairs.
+    ascending.  A skip-gram example is one in-window neighbour of a row: the
+    neighbour is the target and the row's token is its only context, in
+    (row, neighbour) order.  Only three int32 arrays of one entry per token
+    (and, for skip-gram, the per-row example offsets) are kept, so memory
+    follows the token count and the batch size, not the number of context
+    slots or pairs.
     """
 
     def __init__(self, encoded: list[np.ndarray], window: int, skipgram: bool):
@@ -195,37 +195,40 @@ class _Examples:
         self.window = window
         self.skipgram = skipgram
         if skipgram:
-            lo, hi = self._span(self.pos, self.length)
-            counts = (hi - lo - 1).astype(np.int64)
+            counts = self._context_counts(self.pos, self.length).astype(np.int64)
             self.first = np.cumsum(counts) - counts  # each row's first example id
             self.n = int(counts.sum())
         else:
-            self.width = min(int(lengths[-1]) - 1, 2 * window)  # widest context
             self.n = len(self.tokens)
 
     def __len__(self) -> int:
         return self.n
 
-    def _span(self, i: np.ndarray, length: np.ndarray):
-        return np.maximum(i - self.window, 0), np.minimum(length, i + self.window + 1)
+    def _context_counts(self, i: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """In-window neighbours of position ``i``: ``hi - lo - 1``."""
+        return np.minimum(length, i + self.window + 1) - np.maximum(i - self.window, 0) - 1
+
+    def _neighbours(self, row: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Token of each row's ``k``-th in-window neighbour, ascending by
+        position, the row's own position skipped."""
+        i = self.pos[row]
+        j = np.maximum(i - self.window, 0) + k
+        j += j >= i
+        return self.tokens[row - i + j]
 
     def batch(self, sel: np.ndarray):
-        """(targets, context rows) of the examples ``sel``, both int32."""
-        row = np.searchsorted(self.first, sel, side="right") - 1 if self.skipgram else sel
-        i, length = self.pos[row], self.length[row]
-        lo, hi = self._span(i, length)
+        """(targets, indptr, indices) of the examples ``sel``, all int32:
+        example ``e``'s context ids are ``indices[indptr[e]:indptr[e + 1]]``."""
+        n = len(sel)
         if self.skipgram:
-            col = (sel - self.first[row])[:, None]
-        else:
-            col = np.arange(self.width)
-        # k-th context column of position i skips i itself
-        j = lo[:, None] + col
-        j += j >= i[:, None]
-        valid = j < hi[:, None]
-        neighbours = self.tokens[np.where(valid, (row - i)[:, None] + j, 0)]
-        if self.skipgram:
-            return neighbours[:, 0], self.tokens[row][:, None]
-        return self.tokens[sel], np.where(valid, neighbours, -1)
+            row = np.searchsorted(self.first, sel, side="right") - 1
+            return (self._neighbours(row, sel - self.first[row]),
+                    np.arange(n + 1, dtype=np.int32), self.tokens[row])
+        counts = self._context_counts(self.pos[sel], self.length[sel])
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        k = np.arange(indptr[-1]) - np.repeat(indptr[:-1], counts)
+        return self.tokens[sel], indptr, self._neighbours(np.repeat(sel, counts), k)
 
 
 def _noise_cdf(counts: np.ndarray) -> np.ndarray:
@@ -312,69 +315,46 @@ def _matvecs(fmt: str, indptr, indices, data, x, out) -> None:
     kernel(n_row, n_col, out.shape[1], indptr, indices, data, x, out.ravel())
 
 
-def _scatter_add(matrix: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
-    """matrix[rows] += grads with duplicate rows accumulated.
+def _step(w_in, w_out, targets, indptr, indices, negs, lr):
+    """One SGD step on a batch of CSR context rows.
 
-    A CSC product with one unit entry per column adds each row's terms in
-    input order onto a zeroed buffer, so the sums match a sequential
-    accumulation bit for bit.
-    """
-    n = len(rows)
-    if n == 0:
-        return
-    acc = np.zeros_like(matrix)
-    _matvecs("csc", np.arange(n + 1, dtype=np.int32), rows.astype(np.int32, copy=False),
-             np.ones(n, dtype=np.float32), grads, acc)
-    matrix += acc
-
-
-def _step(w_in, w_out, targets, ctx, negs, lr):
-    """One SGD step on a batch.
-
-    A width-1 context (skip-gram, or CBOW over two-token sentences) is never
-    padded, so its context sum is a gather; a wider one is the product of a
-    CSR operator with one unit entry per non-pad context id, repeats kept
-    apart, which adds each row's vectors in column order.  Every update
-    accumulates onto a zeroed buffer that is then added to the matrix once,
-    so each row sums its terms in the order a sequential scatter-add would.
-    The output side takes each term ``-lr * g * h`` as the kernel's own
-    product of coefficient and hidden row, in two CSC passes: every target
-    in batch order, then every negative in (batch, k) order.  Those are the
-    terms and the order of one scatter of a materialised gradient buffer, so
-    the bits are the same without building it; one interleaved pass would
-    not be.
+    The context sum is the product of the CSR operator ``(indptr, indices)``
+    with one unit entry per context id, repeats kept apart, which adds each
+    row's vectors in storage order onto +0.0; the input-side update is the
+    same operator read as CSC.  The sum and its gradient are divided by the
+    row's context count only when some row has more than one context:
+    dividing by 1 changes no bit, and skip-gram batches never need it.
+    Every update accumulates onto a zeroed buffer that is then added to the
+    matrix once, so each row sums its terms in the order a sequential
+    scatter-add would.  The output side takes each term ``-lr * g * h`` as
+    the kernel's own product of coefficient and hidden row, in two CSC
+    passes: every target in batch order, then every negative in (batch, k)
+    order.  Those are the terms and the order of one scatter of a
+    materialised gradient buffer, so the bits are the same without building
+    it; one interleaved pass would not be.
     """
     lr = np.float32(lr)
-    (b, width), k = ctx.shape, negs.shape[1]
-    if width == 1:
-        rows = ctx[:, 0]
-        h = w_in[rows]
-    else:
-        mask = ctx >= 0
-        counts = mask.sum(axis=1)
-        indices = ctx[mask]
-        indptr = np.zeros(b + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        ones = np.ones(len(indices), dtype=np.float32)
-        h = np.zeros((b, w_in.shape[1]), dtype=np.float32)
-        _matvecs("csr", indptr, indices, ones, w_in, h)
-        counts = np.maximum(counts, 1).astype(np.float32)
-        h /= counts[:, None]
+    b, k = negs.shape
+    ones = np.ones(len(indices), dtype=np.float32)
+    h = np.zeros((b, w_in.shape[1]), dtype=np.float32)
+    _matvecs("csr", indptr, indices, ones, w_in, h)
+    counts = np.diff(indptr)
+    mean = counts.max() > 1
+    if mean:
+        counts = np.maximum(counts, 1).astype(np.float32)[:, None]
+        h /= counts
     wt = w_out[targets]
     wn = w_out[negs]
     g_pos = (_sigmoid(np.einsum("bd,bd->b", h, wt)) - 1.0).astype(np.float32)
     g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, h)).astype(np.float32)
     g_neg *= negs != targets[:, None]
     grad_h = g_pos[:, None] * wt + np.einsum("bk,bkd->bd", g_neg, wn)
-    if width == 1:
-        grad_h *= -lr
-        _scatter_add(w_in, rows, grad_h)
-    else:
-        grad_h /= counts[:, None]
-        grad_h *= -lr
-        acc = np.zeros_like(w_in)
-        _matvecs("csc", indptr, indices, ones, grad_h, acc)
-        w_in += acc
+    if mean:
+        grad_h /= counts
+    grad_h *= -lr
+    acc = np.zeros_like(w_in)
+    _matvecs("csc", indptr, indices, ones, grad_h, acc)
+    w_in += acc
     g_pos *= -lr
     g_neg *= -lr
     acc = np.zeros_like(w_out)

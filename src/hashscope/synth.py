@@ -239,6 +239,8 @@ def _temporal_profiles(spec: SyntheticSpec, pool: list[str]) -> np.ndarray:
 # a row's m-th Gumbel key is bounded below by the m-th key among this many
 # columns of largest weight (or among the m largest, if m is more)
 LEAD_COLUMNS = 32
+# doubles per block of _gumbel_top_m rows (2 MB)
+SAMPLER_BLOCK = 2 ** 18
 
 
 def _nonzero_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -283,10 +285,12 @@ def _gumbel_top_m(rng: np.random.Generator, log_w: np.ndarray,
 
     Gumbel-top-k sampling without replacement (Kool et al. 2019): row r
     picks the ``sizes[r]`` columns of largest key ``log_w + g``, where ``g``
-    is row r of ``rng.gumbel(size=(rows, len(log_w)))`` drawn in blocks of
-    ``2_000_000 // len(log_w)`` rows. The picks are in descending key order,
-    ties broken by column index, and the generator is left as those draws
-    leave it.
+    is row r of ``rng.gumbel(size=(rows, len(log_w)))``. The picks are in
+    descending key order, ties broken by column index, and the generator is
+    left as those draws leave it. The rows are drawn in blocks of at most
+    SAMPLER_BLOCK doubles (one row when a row is longer), which bounds the
+    block's uniforms, bounds and mask; the doubles drawn, and so the picks,
+    do not depend on the block size.
 
     A block draws its doubles with ``rng.random``, which yields the ones
     ``rng.gumbel`` uses, and computes keys only for columns that can reach a
@@ -299,7 +303,7 @@ def _gumbel_top_m(rng: np.random.Generator, log_w: np.ndarray,
     v = len(log_w)
     w = np.exp(log_w)
     lead = np.argsort(-log_w)[:max(int(sizes.max()), LEAD_COLUMNS)]
-    chunk = max(1, 2_000_000 // max(v, 1))
+    chunk = max(1, SAMPLER_BLOCK // max(v, 1))
     picks: list[np.ndarray] = []
     for lo in range(0, len(sizes), chunk):
         size = sizes[lo:lo + chunk]

@@ -4,6 +4,12 @@ Each hashtag's share-proportion series is summarized into a 13-value feature
 vector, feature-standardized, clustered with k-means, and the cluster count
 is picked by silhouette.  Clusters are then labeled Stable, Rising, Periodic,
 or Meteor from their members' series statistics.
+
+Distances run on BLAS Gram products.  k-means screens each assignment with
+``|c|^2 - 2<c, x>`` and decides again from exact distances wherever rounding
+could decide differently, so its results are bit-identical to an argmin over
+exact distances; the silhouette takes its distances from the Gram form and
+recomputes the pairs where that form cancels.
 """
 
 from __future__ import annotations
@@ -29,13 +35,16 @@ FEATURE_NAMES = [
 
 LABELS = ("Stable", "Rising", "Periodic", "Meteor")
 
-# scratch budget for one block of silhouette distance rows; no n x n matrix
-# is ever built.  A block keeps at most SILHOUETTE_LIVE_ROWS arrays of
-# rows x n floats alive: the distance kernel's 8 partial sums, its newest
-# term and the difference squared into it, then the distances and their
-# permuted copies.
-SILHOUETTE_BLOCK_BYTES = 1_500_000
-SILHOUETTE_LIVE_ROWS = 10
+# scratch budget for each of a silhouette block's two rows x n buffers; no
+# n x n matrix is ever built
+SILHOUETTE_BLOCK_BYTES = 131_072
+# k-means screening: a point whose two lowest Gram estimates lie within
+# SCREEN_SAFETY * 4 (f + 2) 2**-53 (|x| + max|c|)**2 of each other is assigned
+# again from exact distances (see _assign)
+SCREEN_SAFETY = 64.0
+# silhouette: a pair whose Gram estimate is at most this share of
+# |x|**2 + |y|**2 has its distance recomputed from the differences
+SILHOUETTE_ZONE = 1.0 / 16
 
 
 @dataclass(frozen=True)
@@ -127,12 +136,18 @@ def _sq_distances(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     ``((a[:, None] - b) ** 2).sum(-1)`` for ``a = a_t.T`` and ``b = b_t.T``,
     without that expression's m x n x features tensor.
     """
-    terms = (np.square(a[:, None] - b) for a, b in zip(a_t, b_t))
-    if len(a_t) < 8:
+    return _feature_sum((np.square(a[:, None] - b) for a, b in zip(a_t, b_t)), len(a_t))
+
+
+def _feature_sum(terms, count: int) -> np.ndarray:
+    """The sum of the ``count`` equal-shape arrays that ``terms`` yields, one
+    per feature, added in ``_sq_distances``' order; the yielded arrays may
+    be summed into in place."""
+    if count < 8:
         total = next(terms)
     else:
         p = [next(terms) for _ in range(8)]
-        for _ in range(len(a_t) // 8 - 1):
+        for _ in range(count // 8 - 1):
             for partial in p:
                 partial += next(terms)
         # ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)), in place
@@ -161,6 +176,42 @@ def _kmeans_pp_init(points: np.ndarray, points_t: np.ndarray, k: int,
     return centroids
 
 
+def _assign(centroids: np.ndarray, points_t: np.ndarray,
+            norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest centroid and its squared distance to it, with the
+    bits of ``d2.argmin(axis=0)`` and ``d2[argmin, arange(n)]`` for
+    ``d2 = _sq_distances(centroids.T, points_t)``; ``norms`` holds each
+    point's Euclidean norm.
+
+    The assignment is screened with one BLAS product: for a point x and
+    centroid c, ``|c|^2 - 2<c, x>`` is their squared distance less
+    ``|x|^2``, which no argmin over centroids depends on.  That estimate and
+    the exact ``_sq_distances`` value each lie within about
+    ``(f + 2) 2**-53 (|x| + |c|)^2`` of the true distance for f features, so
+    where the two lowest estimates of a point differ by more than
+    ``4 (f + 2) 2**-53 (|x| + max|c|)^2``, the lowest is the exact argmin,
+    and that argmin is unique.  The margin is that bound times
+    SCREEN_SAFETY.  Every point within it takes the exact ``_sq_distances``
+    argmin, which resolves ties to the lowest centroid index.  The own
+    distances are exact: one features x n array of squared differences,
+    summed over features in ``_sq_distances``' order.
+    """
+    f, n = points_t.shape
+    cols = np.arange(n)
+    sq_c = np.square(centroids).sum(axis=1)
+    est = (-2.0 * centroids) @ points_t
+    est += sq_c[:, None]
+    assignment = est.argmin(axis=0)
+    lowest = est[assignment, cols]
+    est[assignment, cols] = np.inf
+    margin = SCREEN_SAFETY * 4 * (f + 2) * 2.0 ** -53 * np.square(norms + np.sqrt(sq_c.max()))
+    unsure = np.flatnonzero(est.min(axis=0) - lowest <= margin)
+    if len(unsure):
+        assignment[unsure] = _sq_distances(centroids.T, points_t[:, unsure]).argmin(axis=0)
+    diff = points_t - centroids.T[:, assignment]
+    return assignment, _feature_sum(iter(np.square(diff, out=diff)), f)
+
+
 @dataclass
 class KMeansRun:
     assignment: np.ndarray
@@ -180,6 +231,9 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> KM
     farthest from its assigned centroid; the within-cluster SSE is checked
     to be non-increasing on every iteration.  A centroid is the mean of its
     members, summed in point order as ``members.mean(axis=0)`` sums them.
+
+    Each step assigns the points through ``_assign``, whose results have
+    the bits of an argmin over ``_sq_distances`` rows.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
@@ -195,10 +249,9 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> KM
     assignment = np.zeros(n, dtype=np.int64)
     sse_history: list[float] = []
     repairs = 0
+    norms = np.sqrt(np.square(points).sum(axis=1))
     for _ in range(max_iter):
-        d2 = _sq_distances(centroids.T, points_t)
-        new_assignment = d2.argmin(axis=0)
-        dist_own = d2[new_assignment, np.arange(n)]
+        new_assignment, dist_own = _assign(centroids, points_t, norms)
         sizes = np.bincount(new_assignment, minlength=k)
         if not sizes.all():
             # a repair can empty the cluster it takes its point from
@@ -231,9 +284,9 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> KM
 
 
 def _block_rows(n: int) -> int:
-    """Points per silhouette block: the block's few live rows x n distance
-    terms stay within SILHOUETTE_BLOCK_BYTES."""
-    return max(1, SILHOUETTE_BLOCK_BYTES // (8 * n * SILHOUETTE_LIVE_ROWS))
+    """Points per silhouette block: a rows x n array of doubles stays within
+    SILHOUETTE_BLOCK_BYTES."""
+    return max(1, SILHOUETTE_BLOCK_BYTES // (8 * n))
 
 
 def silhouette(points: np.ndarray, assignments) -> list[float]:
@@ -241,40 +294,62 @@ def silhouette(points: np.ndarray, assignments) -> list[float]:
 
     Points in singleton clusters contribute 0.  Every assignment needs at
     least two non-empty clusters.  Distance rows are computed once, a block
-    of points at a time, and shared by all assignments.  Each block is
-    permuted by a stable sort of the assignment, so a cluster's distances
-    form one contiguous slice holding the same values in the same order as a
-    boolean mask selects them, and every sum has the bits of a per-point,
-    per-assignment loop.
+    of points at a time, and shared by all assignments.  A block's squared
+    distances come from one BLAS product, as ``|x|^2 + |y|^2 - 2<x, y>``.
+    Where that is at most SILHOUETTE_ZONE times ``|x|^2 + |y|^2``,
+    cancellation may have eaten its digits, so those pairs (every self pair
+    and every duplicate point among them) are recomputed from the feature
+    differences; outside that zone the relative error of a squared distance
+    stays below ``2 (f + 3) 2**-53 / SILHOUETTE_ZONE`` for f features.  One
+    product of the distances with a 0/1 membership matrix, a column per
+    cluster of every assignment, then gives every cluster's distance sum.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     points_t = np.ascontiguousarray(points.T)
-    layouts = []
+    # each assignment's clusters get membership columns from starts[t] on;
+    # own[i, t] is the column of point i's cluster in assignment t
+    own, sizes, starts = [], [], []
+    width = 0
     for assignment in assignments:
-        cluster_ids, owner, sizes = np.unique(
+        cluster_ids, owner, counts = np.unique(
             assignment, return_inverse=True, return_counts=True)
         if len(cluster_ids) < 2:
             raise ValueError("silhouette requires at least 2 clusters")
-        order = np.argsort(owner, kind="stable")
-        layouts.append((order, np.cumsum(sizes)[:-1], owner, sizes))
-    scores = np.zeros((len(layouts), n))
+        own.append(width + owner)
+        sizes.append(counts)
+        starts.append(width)
+        width += len(counts)
+    own = np.stack(own, axis=1)
+    sizes = np.concatenate(sizes)
+    own_size = sizes[own]
+    member = np.zeros((n, width))
+    member[np.arange(n)[:, None], own] = 1.0
+    sq = np.square(points).sum(axis=1)
+    scores = np.zeros((len(starts), n))
     rows = _block_rows(n)
+    # two rows x n buffers serve every block
+    d2_buf, scale_buf = np.empty((2, min(rows, n), n))
     for start in range(0, n, rows):
-        dist = np.sqrt(_sq_distances(points_t[:, start:start + rows], points_t))
-        for score, (order, cuts, owner, sizes) in zip(scores, layouts):
-            # dist[:, order] is not C-contiguous, and its row sums would round
-            # differently from a 1-D sum; the copy makes every row contiguous
-            by_cluster = np.split(np.ascontiguousarray(dist[:, order]), cuts, axis=1)
-            sums = np.stack([part.sum(axis=1) for part in by_cluster], axis=1)
-            own = owner[start:start + rows]
-            kept = np.flatnonzero(sizes[own] > 1)
-            own = own[kept]
-            a = sums[kept, own] / (sizes[own] - 1)
-            means = sums[kept] / sizes
-            means[np.arange(len(kept)), own] = np.inf
-            b = means.min(axis=1)
-            score[start + kept] = (b - a) / np.maximum(a, b)
+        block = slice(start, min(start + rows, n))
+        d2 = np.matmul(points[block], points_t, out=d2_buf[:block.stop - start])
+        d2 *= -2.0
+        scale = np.add(sq[block, None], sq, out=scale_buf[:block.stop - start])
+        d2 += scale
+        scale *= SILHOUETTE_ZONE
+        near_i, near_j = np.nonzero(d2 <= scale)
+        d2[near_i, near_j] = _feature_sum(
+            (np.square(a[start + near_i] - a[near_j]) for a in points_t), len(points_t))
+        sums = np.sqrt(d2, out=d2) @ member
+        # a: mean distance to the rest of the own cluster; b: the least mean
+        # distance to another cluster; points in singletons score 0
+        at = np.arange(len(d2))[:, None], own[block]
+        a = sums[at] / np.maximum(own_size[block] - 1, 1)
+        means = sums / sizes
+        means[at] = np.inf
+        b = np.minimum.reduceat(means, starts, axis=1)
+        scores[:, block] = np.divide(b - a, np.maximum(a, b), out=np.zeros_like(a),
+                                     where=own_size[block] > 1).T
     return [float(score.mean()) for score in scores]
 
 
@@ -324,14 +399,28 @@ def select_k(
     return best
 
 
-def _detrended_lag4_autocorr(x: np.ndarray, slope: float, intercept: float) -> float:
-    """Lag-4 autocorrelation of ``x`` less its linear fit."""
-    r = x - (slope * np.arange(len(x)) + intercept)
-    denom = (r ** 2).sum()
+def _series_stats(series: np.ndarray) -> np.ndarray:
+    """Per row of ``series``: the lag-4 autocorrelation of the series less
+    its least-squares line over x = 0, 1, ..., the line's slope, and the
+    largest value.
+
+    The line is the closed form ``slope = sum((x - mx)(y - my)) /
+    sum((x - mx)^2)``, ``intercept = my - slope * mx``, for every row at
+    once.
+    """
+    x = np.arange(series.shape[1], dtype=np.float64)
+    xc = x - x.mean()
+    mean = series.mean(axis=1)
+    yc = series - mean[:, None]
+    slope = (yc * xc).sum(axis=1) / np.square(xc).sum()
+    intercept = mean - slope * x.mean()
+    r = series - (slope[:, None] * x + intercept[:, None])
+    denom = np.square(r).sum(axis=1)
     # a (near-)perfect linear fit leaves only float noise; call that zero
-    if denom <= 1e-12 * max(((x - x.mean()) ** 2).sum(), 1e-300):
-        return 0.0
-    return float((r[:-4] * r[4:]).sum() / denom)
+    fitted = denom <= 1e-12 * np.maximum(np.square(yc).sum(axis=1), 1e-300)
+    lagged = (r[:, :-4] * r[:, 4:]).sum(axis=1)
+    autocorr = np.divide(lagged, denom, out=np.zeros_like(denom), where=~fitted)
+    return np.column_stack([autocorr, slope, series.max(axis=1)])
 
 
 def label_clusters(
@@ -347,20 +436,12 @@ def label_clusters(
     anything else falls back to Stable.
     """
     by_tag = {p.hashtag: p for p in profiles}
-    stats: dict[int, list[np.ndarray]] = {}
-    for tag, cluster in result.assignment.items():
-        series = np.asarray(by_tag[tag].series, dtype=np.float64)
-        # one fit per series: a batched 2-D polyfit rounds differently
-        slope, intercept = np.polyfit(np.arange(len(series)), series, 1)
-        row = np.array([
-            _detrended_lag4_autocorr(series, slope, intercept),
-            slope,
-            float(np.max(series)),
-        ])
-        stats.setdefault(cluster, []).append(row)
+    stats = _series_stats(np.stack([
+        np.asarray(by_tag[tag].series, dtype=np.float64) for tag in result.assignment]))
+    clusters = np.array(list(result.assignment.values()))
     labels: dict[int, str] = {}
-    for cluster, rows in stats.items():
-        autocorr, slope, peak = np.mean(rows, axis=0)
+    for cluster in dict.fromkeys(clusters.tolist()):
+        autocorr, slope, peak = stats[clusters == cluster].mean(axis=0)
         if autocorr > thresholds.periodic_autocorr:
             labels[cluster] = "Periodic"
         elif slope > thresholds.rising_slope:

@@ -243,7 +243,9 @@ class TestGumbelTopM:
     @pytest.mark.parametrize("v", [1, 2, 22, 175, 375, 3000])
     def test_matches_reference_sampler(self, v, zipf_exponent):
         log_w = pool_log_w(v, zipf_exponent, seed=v) if zipf_exponent else np.zeros(v)
-        # 1500 rows of 3000 columns span three 2_000_000 // v blocks
+        # 1500 rows of 3000 columns span 18 of the sampler's 2**18 // v row
+        # blocks, the last one ragged, and three of the reference's
+        # 2_000_000 // v blocks
         sizes = post_sizes(v, 1500 if v == 3000 else 400, seed=v)
         if v <= 22:
             sizes[::5] = v
@@ -259,6 +261,7 @@ class TestGumbelTopM:
         log_w = pool_log_w(v, 0.8, seed=102)
         sizes = post_sizes(v, 1500 if v == 3000 else 400, seed=v)
         sizes[::7] = 28
+        # the Gumbel draws do not depend on the block size, so any will do
         ranked, rng = [], np.random.default_rng(2)
         chunk = 2_000_000 // v
         for lo in range(0, len(sizes), chunk):

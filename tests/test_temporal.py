@@ -14,7 +14,9 @@ from hashscope.temporal import (
     select_k,
     silhouette,
     standardize,
+    _assign,
     _block_rows,
+    _series_stats,
     _sq_distances,
 )
 
@@ -264,6 +266,70 @@ class TestKMeansMatchesReference:
             assert run.repairs > 0
 
 
+class TestAssignScreening:
+    """Inputs where the Gram estimate ``|c|^2 - 2<c, x>`` decides least
+    reliably; the assignment and own distances must still have the bits of
+    ``_sq_distances``."""
+
+    def assert_exact(self, centroids, points, monkeypatch):
+        rechecked = []
+
+        def spy(a_t, b_t):
+            rechecked.append(b_t.shape[1])
+            return _sq_distances(a_t, b_t)
+
+        monkeypatch.setattr(temporal, "_sq_distances", spy)
+        points_t = np.ascontiguousarray(points.T)
+        norms = np.sqrt(np.square(points).sum(axis=1))
+        assignment, dist_own = _assign(centroids, points_t, norms)
+        d2 = _sq_distances(centroids.T, points_t)
+        expected = d2.argmin(axis=0)
+        assert np.array_equal(assignment, expected)
+        assert dist_own.tobytes() == d2[expected, np.arange(len(points))].tobytes()
+        return sum(rechecked)
+
+    @pytest.mark.parametrize("n_features", [2, 13])
+    def test_points_on_the_bisector(self, n_features, monkeypatch):
+        rng = np.random.default_rng(70 + n_features)
+        mid = rng.normal(size=n_features)
+        half = rng.normal(size=n_features)
+        along = rng.normal(size=(400, n_features))
+        along -= np.outer(along @ half / (half @ half), half)   # orthogonal to half
+        # on the bisector, and off it by a few units in the last place and more
+        offsets = np.repeat([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 0.0], 50)
+        points = mid + along + offsets[:, None] * half
+        centroids = np.stack([mid - half, mid + half, mid + 50 * half])
+        assert self.assert_exact(centroids, points, monkeypatch) > 0
+
+    @pytest.mark.parametrize("n_features", [2, 13])
+    def test_duplicate_centroids(self, n_features, monkeypatch):
+        # an exact tie goes to the lowest centroid index
+        rng = np.random.default_rng(80 + n_features)
+        points = rng.normal(size=(300, n_features))
+        centroids = points[[3, 7, 3, 11, 7]]
+        assert self.assert_exact(centroids, points, monkeypatch) > 0
+
+    @pytest.mark.parametrize("offset", [1e5, 1e6, 1e8])
+    def test_large_common_offset(self, offset, monkeypatch):
+        # |x|^2 far above the distances: the estimate loses most of its digits
+        rng = np.random.default_rng(int(np.log10(offset)))
+        points = offset + rng.normal(size=(500, 13))
+        centroids = offset + rng.normal(size=(6, 13))
+        assert self.assert_exact(centroids, points, monkeypatch) > 0
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_kmeans_with_large_common_offset_matches_reference(self, offset):
+        rng = np.random.default_rng(90)
+        points = offset + rng.normal(size=(150, 13))
+        for k in (2, 5):
+            run = kmeans(points, k, seed=k)
+            assignment, centroids, sse_history, repairs = reference_kmeans(points, k, k)
+            assert np.array_equal(run.assignment, assignment)
+            assert np.array_equal(run.centroids, centroids)
+            assert run.sse_history == sse_history
+            assert run.repairs == repairs
+
+
 class TestSilhouette:
     def test_tight_far_blobs_above_09(self):
         points, labels = make_blobs([[0, 0], [100, 100]], 40, 1.0)
@@ -350,7 +416,7 @@ class TestSilhouetteMatchesReference:
         scores = silhouette(points, assignments)
         assert len(scores) == len(assignments)
         for score, assignment in zip(scores, assignments):
-            assert score == reference_silhouette(points, assignment)
+            assert score == pytest.approx(reference_silhouette(points, assignment), abs=1e-12)
 
     def test_every_k_up_to_ten(self):
         rng = np.random.default_rng(21)
@@ -390,41 +456,27 @@ class TestSilhouetteMatchesReference:
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_n_not_a_multiple_of_the_block(self, monkeypatch, rows):
         n, d = 101, 13
-        monkeypatch.setattr(temporal, "SILHOUETTE_BLOCK_BYTES",
-                            rows * 8 * n * temporal.SILHOUETTE_LIVE_ROWS)
+        monkeypatch.setattr(temporal, "SILHOUETTE_BLOCK_BYTES", rows * 8 * n)
         assert _block_rows(n) == rows
         assert rows == 1 or n % rows
         rng = np.random.default_rng(26)
         points = standardize(rng.normal(size=(n, d)))
         self.assert_matches(points, random_assignments(rng, n, [2, 4, 9]))
 
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_large_common_offset(self, offset):
+        # |x|^2 + |y|^2 far above every distance: each pair is in the zone
+        # where the Gram form cancels, and is recomputed from the differences
+        rng = np.random.default_rng(29)
+        points = offset + rng.normal(size=(60, 13))
+        points[::5] = points[1]
+        self.assert_matches(points, random_assignments(rng, 60, [2, 3, 6]))
+
     def test_every_assignment_needs_two_clusters(self):
         rng = np.random.default_rng(27)
         points = rng.normal(size=(20, 3))
         with pytest.raises(ValueError, match="at least 2 clusters"):
             silhouette(points, [rng.integers(0, 2, 20), np.full(20, 4)])
-
-    def test_permuted_block_needs_contiguous_copy(self):
-        # d[:, order] is not C-contiguous; numpy may then reduce its row
-        # slices in another order than a 1-D sum, so the last bits differ.
-        # The contiguous copy that silhouette makes restores the 1-D sums.
-        rng = np.random.default_rng(28)
-        points = standardize(rng.normal(size=(200, 13)))
-        labels = rng.integers(0, 4, 200)
-        order = np.argsort(labels, kind="stable")
-        bounds = np.r_[0, np.cumsum(np.bincount(labels))]
-        block = np.sqrt(((points[:8, None] - points) ** 2).sum(axis=-1))
-        permuted = block[:, order]
-        copied = np.ascontiguousarray(permuted)
-        mismatches = 0
-        for c in range(4):
-            lo, hi = bounds[c], bounds[c + 1]
-            masked = np.array([row[labels == c].sum() for row in block])
-            assert np.array_equal(copied[:, lo:hi].sum(axis=1), masked)
-            mismatches += int((permuted[:, lo:hi].sum(axis=1) != masked).sum())
-        assert silhouette(points, [labels]) == [reference_silhouette(points, labels)]
-        if mismatches == 0:
-            pytest.skip("this numpy sums the strided slices like the 1-D sums")
 
 
 class TestSelectK:
@@ -471,6 +523,42 @@ def single_cluster_result(profiles):
         centroids=np.zeros((len(profiles), 13)),
         silhouette=0.0,
     )
+
+
+def reference_series_stats(series):
+    """The per-series ``np.polyfit`` loop that labelled clusters before the
+    closed-form fit over every series at once; kept as the reference."""
+    rows = []
+    t = np.arange(16)
+    for s in series:
+        slope, intercept = np.polyfit(t, s, 1)
+        r = s - (slope * t + intercept)
+        denom = (r ** 2).sum()
+        if denom <= 1e-12 * max(((s - s.mean()) ** 2).sum(), 1e-300):
+            autocorr = 0.0
+        else:
+            autocorr = (r[:-4] * r[4:]).sum() / denom
+        rows.append([autocorr, slope, s.max()])
+    return np.array(rows)
+
+
+class TestSeriesStats:
+    def test_matches_per_series_polyfit(self):
+        rng = np.random.default_rng(34)
+        series = rng.random((300, 16)) ** 3
+        series[::10] = 1.0 - 0.05 * np.arange(16)    # straight lines, whose
+        series[4::10] = 0.7 + 0.11 * np.arange(16)   # residuals are float noise
+        series[1::10] = 1.0                          # flat
+        series[2::10] = np.tile([5.0, 1, 1, 1], 4)   # periodic
+        series[3::10] = 0.0
+        series[3::10, 7] = 1.0                       # one peak
+        series /= series.sum(axis=1, keepdims=True)
+        expected = reference_series_stats(series)
+        got = _series_stats(series)
+        assert np.array_equal(got[::10, 0], np.zeros(30))
+        assert np.array_equal(got[4::10, 0], np.zeros(30))
+        assert np.array_equal(got[:, 2], expected[:, 2])
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 class TestLabelClusters:

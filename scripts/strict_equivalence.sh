@@ -23,7 +23,9 @@
 #     own conversion, read from the working tree), so that the CSV reader is
 #     diffed too; then synth once more at that shape with --communities 1
 #     --drifted 0, where the whole 3000-hashtag pool goes through the
-#     generator's community loop.
+#     generator's community loop; then the 10x synth, --posts 300000 --users
+#     3000 --hashtags 1850, where the generator collects the most
+#     (post, hashtag) pairs and its sampler runs the most blocks.
 # The working tree is also rerun twice more:
 #   - everything with OPENBLAS_NUM_THREADS=2: hashscope pins OpenBLAS to one
 #     thread whatever the caller sets, and --strict output must not depend on
@@ -109,6 +111,8 @@ jsonl_to_csv(Path(sys.argv[1]), Path(sys.argv[2]))' wide/corpus.jsonl wide/corpu
         hashscope "$1" synth-one-community synth --seed 1 --users 1000 \
             --hashtags 3000 --posts 40000 --communities 1 --drifted 0 --strict \
             --out one-community/corpus.jsonl
+        hashscope "$1" synth-10x synth --seed 1 --users 3000 --hashtags 1850 \
+            --posts 300000 --strict --out 10x/corpus.jsonl
     )
 }
 

@@ -31,7 +31,7 @@ from .embedding import (
     nearest_neighbors,
     train,
 )
-from .synth import SyntheticSpec, SynthesisError, demo_spec, generate_synthetic
+from .synth import SyntheticSpec, SynthesisError, generate_synthetic
 
 __all__ = [
     "Corpus",
@@ -51,7 +51,6 @@ __all__ = [
     "train",
     "SyntheticSpec",
     "SynthesisError",
-    "demo_spec",
     "generate_synthetic",
     "__version__",
 ]

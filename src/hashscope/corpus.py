@@ -163,18 +163,18 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return v[keep]
 
 
-def post_columns(user_ids, times, location_ids, tag_offsets, tag_ids,
+def post_columns(user_ids, times, location_ids, tag_posts, tag_ids,
                  user_names: list[str], tag_names: list[str],
                  location_names: list[str]) -> PostColumns:
-    """Columns from hashtag ids into any list of distinct names: the table is
-    sorted and keeps only names in use, each post's ids become ascending and
-    distinct, and a post keeps only its first ``MAX_HASHTAGS_PER_POST``
-    hashtags in name order."""
+    """Columns from (post, hashtag id) pairs, ``tag_posts[j]`` being the post
+    of ``tag_ids[j]``, in any order: the name table is sorted and keeps only
+    names in use, each post's ids become ascending and distinct, and a post
+    keeps only its first ``MAX_HASHTAGS_PER_POST`` hashtags in name order."""
     order = sorted(range(len(tag_names)), key=tag_names.__getitem__)
     rank = np.empty(len(tag_names), dtype=np.int64)
     rank[order] = np.arange(len(tag_names))
     ids = rank[np.asarray(tag_ids, dtype=np.int64)]
-    rows = _csr_rows(np.asarray(tag_offsets))
+    rows = np.asarray(tag_posts)
     by_post = np.lexsort((ids, rows))
     ids, rows = ids[by_post], rows[by_post]
     keep = np.ones(len(ids), dtype=bool)
@@ -215,7 +215,7 @@ def _encode(rows: Iterable[tuple[str, int, Iterable[str], str | None]]) -> PostC
         ends.append(len(tag_col))
     return post_columns(
         np.frombuffer(user_col, dtype=np.int32), np.frombuffer(time_col, dtype=np.int64),
-        np.frombuffer(location_col, dtype=np.int32), np.frombuffer(ends, dtype=np.int64),
+        np.frombuffer(location_col, dtype=np.int32), _csr_rows(np.frombuffer(ends, dtype=np.int64)),
         np.frombuffer(tag_col, dtype=np.int32), list(users), list(tags), list(locations),
     )
 

@@ -279,9 +279,9 @@ def _exact_order(log_w: np.ndarray, u: np.ndarray, cols: np.ndarray) -> np.ndarr
 
 
 def _gumbel_top_m(rng: np.random.Generator, log_w: np.ndarray,
-                  sizes: np.ndarray) -> list[np.ndarray]:
+                  sizes: np.ndarray) -> np.ndarray:
     """For each row size m (1 <= m <= len(log_w)), draw m distinct indices
-    with probability ~ w.
+    with probability ~ w, every row's picks in turn in one flat array.
 
     Gumbel-top-k sampling without replacement (Kool et al. 2019): row r
     picks the ``sizes[r]`` columns of largest key ``log_w + g``, where ``g``
@@ -322,8 +322,8 @@ def _gumbel_top_m(rng: np.random.Generator, log_w: np.ndarray,
         for r in _near_tie_rows(rows, keys, picked):
             row = slice(starts[r], starts[r] + counts[r])
             cols[row] = _exact_order(log_w, u[r], cols[row])
-        picks.extend(cols[s:s + m] for s, m in zip(starts.tolist(), size.tolist()))
-    return picks
+        picks.append(cols[picked])
+    return np.concatenate(picks)
 
 
 def _sample_distinct_pair(rng: np.random.Generator, pool: np.ndarray) -> tuple[int, int]:
@@ -428,8 +428,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
         m_comm = sizes.copy()
     m_glob = sizes - m_comm
 
-    # each post's hashtags as indices into spec.all_tags(), repeats allowed
-    post_tags: list[list[int]] = [[] for _ in range(n)]
+    # each draw's (posts, hashtags) arrays, one entry per (post, hashtag) pair;
+    # hashtags index spec.all_tags(), repeats allowed
+    pairs = [(np.empty(0, dtype=np.int64),) * 2]
     log_zipf = np.log(zipf)
 
     # synonym pairs: a drawn pair member is re-rolled uniformly between the
@@ -448,18 +449,20 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
         comm_tags = np.flatnonzero(tag_comm == c)
         for q in range(n_q):
             rows = np.flatnonzero((post_comm == c) & (post_quarter == q) & (m_comm > 0))
-            if len(rows) == 0:
+            if len(rows) == 0 or len(comm_tags) == 0:
                 continue
             w = log_zipf[comm_tags] + np.log(profiles[comm_tags, q])
             want = np.minimum(m_comm[rows], len(comm_tags))
-            for i, picks in enumerate(_gumbel_top_m(rng, w, want)):
-                chosen = comm_tags[picks]
-                if swap_pairs and len(chosen):
-                    paired = partner_idx[chosen] >= 0
-                    reroll = paired & (rng.random(len(chosen)) < spec.pair_affinity)
-                    flip = reroll & (rng.random(len(chosen)) < 0.5)
-                    chosen = np.where(flip, partner_idx[chosen], chosen)
-                post_tags[rows[i]] = chosen.tolist()
+            chosen = comm_tags[_gumbel_top_m(rng, w, want)]
+            if swap_pairs:
+                # row by row, m reroll doubles then m flip doubles: a row
+                # whose picks start at o reads u[2o:2o + m], then u[2o + m:2o + 2m]
+                u = rng.random(2 * len(chosen))
+                at = np.repeat(np.cumsum(want) - want, want) + np.arange(len(chosen))
+                reroll = (partner_idx[chosen] >= 0) & (u[at] < spec.pair_affinity)
+                flip = reroll & (u[at + np.repeat(want, want)] < 0.5)
+                chosen = np.where(flip, partner_idx[chosen], chosen)
+            pairs.append((np.repeat(rows, want), chosen))
 
     # global-pool draws (cross-community noise), grouped by quarter
     if n_comm > 1:
@@ -469,8 +472,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
                 continue
             w = log_zipf + np.log(profiles[:, q])
             want = np.minimum(m_glob[rows], n_pool)
-            for row, picks in zip(rows, _gumbel_top_m(rng, w, want)):
-                post_tags[row].extend(picks.tolist())
+            pairs.append((np.repeat(rows, want), _gumbel_top_m(rng, w, want)))
 
     # drifted-hashtag injection: owner-dominated, community-bound per period
     drift_year = spec.effective_drift_year
@@ -487,8 +489,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
         p = np.where(is_owner, DRIFT_OWNER_RATE,
                      np.where(in_comm, DRIFT_COMM_RATE, 0.0))
         hits = np.flatnonzero(has_tags & (rng.random(n) < p))
-        for row in hits:
-            post_tags[row].append(n_pool + d)
+        pairs.append((hits, np.full(len(hits), n_pool + d)))
 
     loc_names = [f"loc{i:04d}" for i in range(n_cat * LOCATIONS_PER_CATEGORY)]
     location_categories = {
@@ -496,35 +497,13 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
         for i in range(len(loc_names))
     } if spec.located_rate > 0 else {}
 
-    order = np.lexsort((post_user, post_ts)).tolist()
-    lengths = np.fromiter((len(post_tags[i]) for i in order), dtype=np.int64, count=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    flat = np.fromiter((t for i in order for t in post_tags[i]), dtype=np.int64,
-                       count=int(offsets[-1]))
-    columns = post_columns(post_user[order], post_ts[order], post_loc_idx[order], offsets,
-                           flat, user_names, spec.all_tags(), loc_names)
+    order = np.lexsort((post_user, post_ts))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    pair_posts, pair_tags = map(np.concatenate, zip(*pairs))
+    columns = post_columns(post_user[order], post_ts[order], post_loc_idx[order],
+                           rank[pair_posts], pair_tags, user_names, spec.all_tags(), loc_names)
 
     friendships = _sample_friendships(spec, rng, user_comm_all)
     return Corpus(columns=columns, friendships=friendships,
                   location_categories=location_categories)
-
-
-def demo_spec(seed: int = 0) -> SyntheticSpec:
-    """A bundled all-features spec sized for quick end-to-end runs."""
-    return SyntheticSpec(
-        users=300,
-        hashtags=185,
-        posts=30000,
-        years=4,
-        periodic=30,
-        rising=90,
-        stable=40,
-        meteor=15,
-        communities=8,
-        drifted=10,
-        homophily=0.6,
-        located_rate=0.5,
-        zipf_exponent=0.7,
-        seed=seed,
-    )

@@ -10,7 +10,9 @@ import pytest
 
 from hashscope import drift, social
 from hashscope.cli import main, parse_config_file
-from hashscope.corpus import Corpus, PostRecord, save_corpus, save_friendships
+from hashscope.corpus import (
+    MAX_HASHTAGS_PER_POST, Corpus, PostRecord, load_corpus, save_corpus, save_friendships,
+)
 from hashscope.embedding import TrainingDivergedError
 from hashscope.reports import report_stats
 from hashscope.synth import SyntheticSpec, generate_synthetic
@@ -56,6 +58,18 @@ class TestSynthCommand:
         f1 = (tmp_path / "one" / "c.jsonl.friends.csv").read_bytes()
         f2 = (tmp_path / "two" / "c.jsonl.friends.csv").read_bytes()
         assert f1 == f2
+
+    def test_communities_without_pool_hashtags(self, tmp_path):
+        # 5 pool hashtags among 8 communities: three communities have none
+        out = tmp_path / "c.jsonl"
+        code = run_cli(["synth", "--hashtags", "5", "--communities", "8", "--periodic", "0",
+                        "--rising", "0", "--stable", "0", "--meteor", "0", "--drifted", "0",
+                        "--users", "40", "--posts", "1500", "--out", str(out)])
+        assert code == 0
+        corpus = load_corpus(out)
+        assert len(corpus.posts) == 1500
+        assert corpus.tag_names
+        assert max(len(p.hashtags) for p in corpus.posts) <= MAX_HASHTAGS_PER_POST
 
     def test_infeasible_spec_fails_cleanly(self, tmp_path, capsys):
         code = run_cli(["synth", "--hashtags", "5", "--periodic", "10",

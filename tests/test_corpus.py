@@ -410,20 +410,23 @@ def test_sorted_distinct_matches_unique(values):
 
 class TestPostColumns:
     def test_sorted_table_distinct_ids(self):
-        # post 0: "b", "a", "b" again and "c"; post 1: nothing; post 2: "c"
-        columns = post_columns([0, 0, 0], [1, 2, 3], [-1, -1, -1], [0, 4, 4, 5],
-                               [1, 0, 1, 3, 3], ["u"], ["a", "b", "unused", "c"], [])
-        assert columns.tag_names == ["a", "b", "c"]
-        assert columns.tag_offsets.tolist() == [0, 3, 3, 4]
-        assert columns.tag_ids.tolist() == [0, 1, 2, 2]
-        assert columns.tag_ids.dtype == np.int32 and columns.user_ids.dtype == np.int32
+        # post 0: "b", "a", "b" again and "c"; post 1: nothing; post 2: "c";
+        # the pairs come post by post, then with the posts interleaved
+        for tag_posts, tag_ids in (([0, 0, 0, 0, 2], [1, 0, 1, 3, 3]),
+                                   ([2, 0, 0, 0, 0], [3, 3, 1, 0, 1])):
+            columns = post_columns([0, 0, 0], [1, 2, 3], [-1, -1, -1], tag_posts, tag_ids,
+                                   ["u"], ["a", "b", "unused", "c"], [])
+            assert columns.tag_names == ["a", "b", "c"]
+            assert columns.tag_offsets.tolist() == [0, 3, 3, 4]
+            assert columns.tag_ids.tolist() == [0, 1, 2, 2]
+            assert columns.tag_ids.dtype == np.int32 and columns.user_ids.dtype == np.int32
 
     def test_cap_keeps_first_names(self):
         # post 0 has two hashtags over the cap, given in reverse name order;
         # post 1 has the last of them, which only post 0 drops
         cap = MAX_HASHTAGS_PER_POST
         names = [f"t{i:02d}" for i in range(cap + 2)]
-        columns = post_columns([0, 0], [1, 2], [-1, -1], [0, cap + 2, cap + 3],
+        columns = post_columns([0, 0], [1, 2], [-1, -1], [0] * (cap + 2) + [1],
                                list(reversed(range(cap + 2))) + [cap + 1],
                                ["u"], names, [])
         assert columns.tag_names == names[:cap] + [names[cap + 1]]

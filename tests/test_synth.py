@@ -1,15 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from hashscope import synth
+from hashscope import cli, synth
 from hashscope.corpus import QuarterBucket, save_corpus
 from hashscope.social import sample_strangers
 from hashscope.synth import (
     SynthesisError, SyntheticSpec, _approx_keys, _exact_order, _gumbel_top_m,
-    _near_tie_rows, _nonzero_uniforms, demo_spec, generate_synthetic,
+    _near_tie_rows, _nonzero_uniforms, generate_synthetic,
 )
 
 
@@ -185,10 +186,45 @@ class TestStructure:
 
 class TestDemoSpec:
     def test_generates(self):
-        corpus = generate_synthetic(demo_spec(seed=2))
+        # the spec that `hashscope all` generates when given no input
+        corpus = generate_synthetic(cli._spec_from_settings(dict(cli.DEFAULTS, seed=2)))
         assert len(corpus.posts) == 30000
         assert corpus.friendships
         assert corpus.location_categories
+
+
+def corpus_digest(corpus):
+    """sha256 over a corpus's column arrays, name tables, friendships and
+    location categories."""
+    h = hashlib.sha256()
+    for name in ("user_ids", "times", "location_ids", "tag_offsets", "tag_ids"):
+        h.update(np.ascontiguousarray(getattr(corpus, name)).tobytes())
+    for lines in (corpus.user_names, corpus.tag_names, corpus.location_names,
+                  [f"{a},{b}" for a, b in sorted(corpus.friendships)],
+                  [f"{k},{v}" for k, v in sorted(corpus.location_categories.items())]):
+        h.update("\n".join(lines).encode() + b"\0")
+    return h.hexdigest()
+
+
+# Generator paths that the CLI cannot reach (it has no pair_affinity or
+# adoption_growth key), pinned by digest so that a refactor of the generator
+# cannot change their corpora unnoticed. A deliberate output change that is
+# logged in CHANGES.md updates these digests.
+@pytest.mark.parametrize("spec, digest", [
+    # a fractional affinity: some rerolls keep the drawn variant; rows of
+    # mixed sizes, with drift injections after the pool draws
+    (SyntheticSpec(users=80, hashtags=120, posts=4000, communities=6, pair_affinity=0.4,
+                   mean_extra_tags=3.0, drifted=2, seed=21),
+     "bf4141a20906b5a4df719e653a106c7e4c1e987aeac9a4af674b56af5393772c"),
+    (SyntheticSpec(users=60, hashtags=90, posts=3000, communities=4, adoption_growth=True,
+                   located_rate=0.6, seed=22),
+     "d92ac5957477f5659f0f57ca6d3e52d3cc9d536fa113145ae06a6d68a4899fe7"),
+    (SyntheticSpec(users=50, hashtags=200, posts=3000, communities=1, periodic=5, meteor=3,
+                   seed=23),
+     "3ddf80d33aec3e042c48445b8fbc1e8bb38f553919fc6a2603fbef6d010133e5"),
+], ids=["pair-affinity-0.4", "adoption-growth-located", "one-community"])
+def test_pinned_corpus_digest(spec, digest):
+    assert corpus_digest(generate_synthetic(spec)) == digest
 
 
 def ref_gumbel_top_m(rng, log_w, sizes):
@@ -222,8 +258,12 @@ def post_sizes(v, rows, seed):
     return np.minimum(1 + np.random.default_rng(seed).poisson(2.0, rows), v)
 
 
-def same_picks(a, b):
-    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+def same_picks(rows, picks, sizes):
+    """Whether the flat ``picks`` of rows of ``sizes`` are ``rows``, row by row."""
+    if len(picks) != sum(sizes):
+        return False
+    split = np.split(picks, np.cumsum(sizes)[:-1])
+    return len(rows) == len(split) and all(np.array_equal(x, y) for x, y in zip(rows, split))
 
 
 class ScriptedRng:
@@ -250,7 +290,8 @@ class TestGumbelTopM:
         if v <= 22:
             sizes[::5] = v
         old, new = np.random.default_rng(7), np.random.default_rng(7)
-        assert same_picks(ref_gumbel_top_m(old, log_w, sizes), _gumbel_top_m(new, log_w, sizes))
+        assert same_picks(ref_gumbel_top_m(old, log_w, sizes), _gumbel_top_m(new, log_w, sizes),
+                          sizes)
         assert old.bit_generator.state == new.bit_generator.state
 
     @pytest.mark.parametrize("v", [175, 3000])
@@ -269,7 +310,7 @@ class TestGumbelTopM:
             ranked.extend(np.argsort(-keys, axis=1, kind="stable"))
         new = np.random.default_rng(2)
         picks = _gumbel_top_m(new, log_w, sizes)
-        assert same_picks(picks, [r[:m] for r, m in zip(ranked, sizes)])
+        assert same_picks([r[:m] for r, m in zip(ranked, sizes)], picks, sizes)
         assert new.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("spec", [
@@ -284,7 +325,8 @@ class TestGumbelTopM:
     ], ids=["pair-affinity", "one-community"])
     def test_generator_matches_reference_sampler(self, spec, monkeypatch):
         new = generate_synthetic(spec)
-        monkeypatch.setattr(synth, "_gumbel_top_m", ref_gumbel_top_m)
+        monkeypatch.setattr(synth, "_gumbel_top_m",
+                            lambda *args: np.concatenate(ref_gumbel_top_m(*args)))
         old = generate_synthetic(spec)
         assert new.posts == old.posts
         assert new.friendships == old.friendships
@@ -314,7 +356,7 @@ class TestGumbelTopM:
         cols = np.random.default_rng(6).permutation(200)
         assert np.array_equal(_exact_order(log_w, u, cols), expected)
         # and the sampler, whose one row draws the same doubles, falls back to it
-        (picks,) = _gumbel_top_m(np.random.default_rng(5), log_w, np.array([200]))
+        picks = _gumbel_top_m(np.random.default_rng(5), log_w, np.array([200]))
         assert np.array_equal(picks, expected)
 
     def test_exact_order_breaks_equal_keys_by_column(self):
@@ -334,4 +376,4 @@ class TestGumbelTopM:
     def test_equal_keys_pick_in_column_order(self):
         rng = ScriptedRng([0.5] * 100)
         picks = _gumbel_top_m(rng, np.zeros(50), np.array([3, 50]))
-        assert [p.tolist() for p in picks] == [[0, 1, 2], list(range(50))]
+        assert picks.tolist() == [0, 1, 2] + list(range(50))

@@ -14,8 +14,10 @@
 #     only a window that small clips skip-gram contexts at sentence ends;
 #     then social with --social-negatives 1 and drift with --negatives 1
 #     --batch-size 7, so that the trainer's two-pass output update (targets,
-#     then negatives) also runs with one negative per example and with a
-#     ragged last batch of each epoch;
+#     then each group's shared negatives) also runs with one negative per
+#     group and with batches smaller than one group of 16 examples, and drift
+#     with --batch-size 37, whose batches end in a ragged group of 5 after
+#     two full ones;
 #   - wide: the wide-cli corpus shape: synth --seed 1 --users 1000
 #     --hashtags 3000 --posts 40000, then stats, temporal --top-k 2000 and
 #     spatial, each --strict, on that corpus; then the same three on the
@@ -85,6 +87,8 @@ run_demo() {
             --seed 1 --strict --out social-k1
         hashscope "$1" drift-k1-batch7 drift --input all/corpus.jsonl \
             --negatives 1 --batch-size 7 --seed 1 --strict --out drift-k1-batch7
+        hashscope "$1" drift-batch37 drift --input all/corpus.jsonl \
+            --batch-size 37 --seed 1 --strict --out drift-batch37
     )
 }
 

@@ -173,13 +173,14 @@ def post_columns(user_ids, times, location_ids, tag_posts, tag_ids,
     order = sorted(range(len(tag_names)), key=tag_names.__getitem__)
     rank = np.empty(len(tag_names), dtype=np.int64)
     rank[order] = np.arange(len(tag_names))
-    ids = rank[np.asarray(tag_ids, dtype=np.int64)]
-    rows = np.asarray(tag_posts)
-    by_post = np.lexsort((ids, rows))
-    ids, rows = ids[by_post], rows[by_post]
-    keep = np.ones(len(ids), dtype=bool)
-    keep[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
-    ids, rows = ids[keep], rows[keep]
+    # one int64 key per pair, ordered by post and then name, sorted in place
+    key = np.asarray(tag_posts, dtype=np.int64) * len(tag_names)
+    key += rank[np.asarray(tag_ids, dtype=np.int64)]
+    key.sort()
+    keep = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    rows, ids = np.divmod(key[keep], len(tag_names))
+    del key  # before the cap's temporaries
     n = len(times)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])

@@ -6,16 +6,17 @@ context token ids, and a skip-gram pair is a CBOW example whose one-entry
 row is the center token.  Each batch's rows are built when the batch is
 drawn, from one int32 token array and each token's position and sentence
 length, so training memory follows the token count and the batch, not the
-number of context slots or skip-gram pairs.  Negatives are read from an
-exact guide table over the noise CDF and equal ``searchsorted`` draws of the
-same uniforms.
+number of context slots or skip-gram pairs.  Each group of
+``NEGATIVE_GROUP`` consecutive examples of a batch shares one draw of k
+negatives, so every example is still scored against k negatives while a
+group is scored, and its negatives updated, by dense products.
 Training is mini-batched numpy SGD: gradients within a batch are computed at
 the batch's starting parameters, and scatter-adds apply every pair's update,
 so results are bit-reproducible for a fixed seed.  The context sums and
 scatter-adds call scipy's compiled CSR/CSC kernels on the batch's index
-arrays directly, and the output-side update adds each coefficient times its
-hidden row in two passes (targets, then negatives) instead of building the
-batch's gradient rows first, which adds the same terms in the same order.
+arrays directly, and the output-side update adds each target's term, then
+each group's summed negative rows, in two passes instead of building the
+batch's gradient rows first.
 Input vectors are initialized per token from a hash of the token text, which
 makes tables trained on overlapping vocabularies start from comparable
 coordinates.
@@ -34,6 +35,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+
+# examples per shared draw of negatives: big enough for a group's products to
+# beat per-example gathers, small enough that drift still finds planted drift
+NEGATIVE_GROUP = 16
 
 
 class VocabularyError(ValueError):
@@ -238,27 +243,6 @@ def _noise_cdf(counts: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Guide table over ``cdf`` (Chen and Asau 1974): entry ``j`` is
-    ``searchsorted(cdf, j / M)`` for ``j = 0..M``.  M is the power of two at
-    or above ``16 * len(cdf)``, so ``j / M`` and ``floor(u * M)`` are exact."""
-    m = 1 << (16 * len(cdf) - 1).bit_length()
-    return np.searchsorted(cdf, np.arange(m + 1) / m).astype(np.int32)
-
-
-def _draw_negatives(guide: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u)`` as int32, read from the guide table.
-
-    ``u`` lies in bucket ``j = floor(u * M)``, so its index lies between
-    ``guide[j]`` and ``guide[j + 1]``; where the two agree that is the
-    answer, and only the other draws are searched."""
-    j = (u * (len(guide) - 1)).astype(np.intp)
-    out = guide[j]
-    ambiguous = out != guide[j + 1]
-    out[ambiguous] = np.searchsorted(cdf, u[ambiguous])
-    return out
-
-
 @functools.cache
 def _kernels():
     """scipy's compiled sparse kernels, ``scipy.sparse._sparsetools``, loaded
@@ -324,19 +308,25 @@ def _step(w_in, w_out, targets, indptr, indices, negs, lr):
     same operator read as CSC.  The sum and its gradient are divided by the
     row's context count only when some row has more than one context:
     dividing by 1 changes no bit, and skip-gram batches never need it.
+
+    Row ``g`` of ``negs`` holds the k negatives shared by examples ``g * G``
+    to ``g * G + G - 1``, ``G = NEGATIVE_GROUP``, so each example is still
+    scored against k negatives; one equal to its target gets a zero
+    coefficient.  The hidden rows sit in a (len(negs), G, d) buffer padded
+    with +0.0, whose padding adds only signed zeros, and a group's scores,
+    gradient term and summed negative updates are one matrix product each.
     Every update accumulates onto a zeroed buffer that is then added to the
     matrix once, so each row sums its terms in the order a sequential
-    scatter-add would.  The output side takes each term ``-lr * g * h`` as
-    the kernel's own product of coefficient and hidden row, in two CSC
-    passes: every target in batch order, then every negative in (batch, k)
-    order.  Those are the terms and the order of one scatter of a
-    materialised gradient buffer, so the bits are the same without building
-    it; one interleaved pass would not be.
+    scatter-add would: on the output side, each target's term ``-lr * g * h``
+    in batch order, then each negative's group sum in (group, k) order.
     """
     lr = np.float32(lr)
-    b, k = negs.shape
+    b = len(targets)
+    n_groups, k = negs.shape
+    d = w_in.shape[1]
     ones = np.ones(len(indices), dtype=np.float32)
-    h = np.zeros((b, w_in.shape[1]), dtype=np.float32)
+    h_groups = np.zeros((n_groups, NEGATIVE_GROUP, d), dtype=np.float32)
+    h = h_groups.reshape(-1, d)[:b]
     _matvecs("csr", indptr, indices, ones, w_in, h)
     counts = np.diff(indptr)
     mean = counts.max() > 1
@@ -346,9 +336,9 @@ def _step(w_in, w_out, targets, indptr, indices, negs, lr):
     wt = w_out[targets]
     wn = w_out[negs]
     g_pos = (_sigmoid(np.einsum("bd,bd->b", h, wt)) - 1.0).astype(np.float32)
-    g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, h)).astype(np.float32)
-    g_neg *= negs != targets[:, None]
-    grad_h = g_pos[:, None] * wt + np.einsum("bk,bkd->bd", g_neg, wn)
+    g_neg = _sigmoid(np.matmul(h_groups, wn.transpose(0, 2, 1))).astype(np.float32)
+    g_neg.reshape(-1, k)[:b] *= negs[np.arange(b) // NEGATIVE_GROUP] != targets[:, None]
+    grad_h = g_pos[:, None] * wt + np.matmul(g_neg, wn).reshape(-1, d)[:b]
     if mean:
         grad_h /= counts
     grad_h *= -lr
@@ -359,8 +349,9 @@ def _step(w_in, w_out, targets, indptr, indices, negs, lr):
     g_neg *= -lr
     acc = np.zeros_like(w_out)
     _matvecs("csc", np.arange(b + 1, dtype=np.int32), targets, g_pos, h, acc)
-    _matvecs("csc", np.arange(0, b * k + 1, k, dtype=np.int32), negs.ravel(),
-             g_neg.ravel(), h, acc)
+    sums = np.matmul(g_neg.transpose(0, 2, 1), h_groups).reshape(-1, d)
+    _matvecs("csc", np.arange(len(sums) + 1, dtype=np.int32), negs.ravel(),
+             np.ones(len(sums), dtype=np.float32), sums, acc)
     w_out += acc
 
 
@@ -399,7 +390,6 @@ def train(sentences: Iterable[Sequence[str]], config: TrainConfig) -> EmbeddingT
     w_in = init_vectors(vocab, config)
     w_out = np.zeros((len(vocab), config.dimension), dtype=np.float32)
     noise_cdf = _noise_cdf(vocab.counts)
-    guide = _guide_table(noise_cdf)
     k = config.negatives
 
     examples = _Examples(encoded, config.window, skipgram=config.mode == "skipgram")
@@ -420,7 +410,8 @@ def train(sentences: Iterable[Sequence[str]], config: TrainConfig) -> EmbeddingT
             lr = config.learning_rate + (
                 config.min_learning_rate - config.learning_rate
             ) * (step / total_steps)
-            negs = _draw_negatives(guide, noise_cdf, rng.random((len(sel), k)))
+            u = rng.random((-(-len(sel) // NEGATIVE_GROUP), k))
+            negs = np.searchsorted(noise_cdf, u).astype(np.int32)
             _step(w_in, w_out, *examples.batch(sel), negs, lr)
             step += 1
         # no logit exceeds d * max|w_in| * max|w_out|; past float32 range the

@@ -94,20 +94,22 @@ def build_graph(corpus: Corpus) -> BipartiteGraph:
 
 
 def _alias_tables(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node alias tables (flat, same layout as the CSR arrays)."""
+    """Per-node alias tables (flat, same layout as the CSR arrays).  Vose's
+    pairing runs on Python floats, which round as numpy's float64 does."""
     accept = np.zeros(len(graph.weights))
     alias = np.zeros(len(graph.weights), dtype=np.int64)
+    offsets = graph.offsets.tolist()
     for node in range(graph.n_nodes):
-        lo, hi = graph.offsets[node], graph.offsets[node + 1]
+        lo, hi = offsets[node], offsets[node + 1]
         w = graph.weights[lo:hi]
         n = len(w)
         if n == 0:
             raise GraphError(f"dangling node {node} with degree 0")
-        scaled = w * n / w.sum()
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        acc = np.ones(n)
-        ali = np.arange(n)
+        scaled = (w * n / w.sum()).tolist()
+        small = [i for i, x in enumerate(scaled) if x < 1.0]
+        large = [i for i, x in enumerate(scaled) if x >= 1.0]
+        acc = [1.0] * n
+        ali = list(range(n))
         while small and large:
             s = small.pop()
             l = large.pop()

@@ -1,4 +1,5 @@
 import json
+import math
 import platform
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from hashscope import embedding
 from hashscope.embedding import (
+    NEGATIVE_GROUP,
     EmbeddingTable,
     TrainConfig,
     TrainingDivergedError,
@@ -19,10 +21,8 @@ from hashscope.embedding import (
     nearest_neighbors,
     skipgram_pair_loss,
     train,
-    _draw_negatives,
     _encode,
     _Examples,
-    _guide_table,
     _log_sigmoid,
     _matvecs,
     _noise_cdf,
@@ -171,27 +171,54 @@ def csr_rows(ctx):
     return indptr, ctx[mask].astype(np.int32)
 
 
+def ref_shared_negatives(w_out, h, targets, negs, lr):
+    """The shared negatives, one group of ``NEGATIVE_GROUP`` examples at a
+    time: the group's hidden rows, zero-padded to a full (G, d) block, times
+    its k negative rows, with the products the step applies to the group.
+    Returns the hidden gradient's negative term of each example, and the
+    output rows ``(-lr * g_neg).T @ h`` of each group's k negatives, in
+    (group, k) order, for a dense scatter."""
+    b, d = h.shape
+    n_groups, k = negs.shape
+    assert n_groups == math.ceil(b / NEGATIVE_GROUP)
+    grad = np.zeros((n_groups * NEGATIVE_GROUP, d), dtype=np.float32)
+    sums = np.zeros((n_groups * k, d), dtype=np.float32)
+    for g in range(n_groups):
+        lo, hi = g * NEGATIVE_GROUP, min((g + 1) * NEGATIVE_GROUP, b)
+        hg = np.zeros((NEGATIVE_GROUP, d), dtype=np.float32)
+        hg[:hi - lo] = h[lo:hi]
+        wn = w_out[negs[g]]
+        g_neg = _sigmoid(np.matmul(hg, wn.T)).astype(np.float32)
+        g_neg[hi - lo:] = 0.0
+        g_neg[:hi - lo] *= negs[g] != targets[lo:hi, None]
+        grad[lo:lo + NEGATIVE_GROUP] = np.matmul(g_neg, wn)
+        sums[g * k:(g + 1) * k] = np.matmul((g_neg * -lr).T, hg)
+    return grad[:b], sums
+
+
 def dense_step_cbow(w_in, w_out, targets, ctx, negs, lr):
-    """The dense gather/mask/sum CBOW step the sparse operator replaced."""
+    """The dense gather/mask/sum CBOW step the sparse operator replaced, with
+    the shared negatives taken group by group."""
     lr = np.float32(lr)
     mask = ctx >= 0
     counts = np.maximum(mask.sum(axis=1), 1).astype(np.float32)
     gathered = w_in[np.clip(ctx, 0, None)] * mask[:, :, None]
     h = gathered.sum(axis=1) / counts[:, None]
     wt = w_out[targets]
-    wn = w_out[negs]
     g_pos = (_sigmoid(np.einsum("bd,bd->b", h, wt)) - 1.0).astype(np.float32)
-    g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, h)).astype(np.float32)
-    g_neg *= negs != targets[:, None]
-    grad_h = g_pos[:, None] * wt + np.einsum("bk,bkd->bd", g_neg, wn)
+    neg_grad, neg_sums = ref_shared_negatives(w_out, h, targets, negs, lr)
+    grad_h = g_pos[:, None] * wt + neg_grad
     grad_ctx = (grad_h / counts[:, None])[:, None, :] * mask[:, :, None]
     dense_scatter_add(w_in, ctx[mask], -lr * grad_ctx[mask])
     out_rows = np.concatenate((targets, negs.ravel()))
-    out_grads = np.concatenate((
-        -lr * g_pos[:, None] * h,
-        (-lr * g_neg[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]),
-    ))
+    out_grads = np.concatenate((-lr * g_pos[:, None] * h, neg_sums))
     dense_scatter_add(w_out, out_rows, out_grads)
+
+
+def group_negatives(rng, vocab, batch, negatives):
+    """k negative ids for each group of ``NEGATIVE_GROUP`` examples."""
+    n_groups = math.ceil(batch / NEGATIVE_GROUP)
+    return rng.integers(0, vocab, (n_groups, negatives)).astype(np.int32)
 
 
 def cbow_batch(rng, vocab, dim, batch, width, negatives=3):
@@ -206,22 +233,25 @@ def cbow_batch(rng, vocab, dim, batch, width, negatives=3):
     ctx[0, :] = -1
     ctx[0, :3] = 1
     ctx[-1, :] = -1
-    negs = rng.integers(0, vocab, (batch, negatives)).astype(np.int32)
-    return w_in, w_out, targets, ctx, negs
+    return w_in, w_out, targets, ctx, group_negatives(rng, vocab, batch, negatives)
 
 
 # (vocab, dim, batch, context width[, negatives]): duplicate ids are certain
 # at vocab 4, batches of 3 and 7 are ragged against any power-of-two batch
-# size; then social's demo shape, a batch of one, one negative per example,
-# and at most one context per row, where the step skips the divide
+# size and fill less than one group of negatives; then social's demo shape,
+# a batch of one, one negative per group, and at most one context per row,
+# where the step skips the divide; then exactly one group, and one group and
+# one row
 SPARSE_SHAPES = [(4, 3, 7, 6), (50, 8, 3, 3), (485, 64, 257, 20), (30, 5, 64, 2),
                  (485, 64, 1024, 20, 5), (6, 4, 1, 5, 3), (40, 8, 33, 6, 1),
-                 (9, 4, 50, 1)]
+                 (9, 4, 50, 1), (12, 6, NEGATIVE_GROUP, 4),
+                 (12, 6, NEGATIVE_GROUP + 1, 4, 2)]
 
 
 class TestSparseOperatorsMatchDense:
-    """The sparse operators must add each row's terms in the order the dense
-    code did, so results are equal bit for bit, not just close."""
+    """The sparse operators and the batched group products must add each
+    row's terms in the order the dense, group-by-group code does, so results
+    are equal bit for bit, not just close."""
 
     @pytest.mark.parametrize("shape", SPARSE_SHAPES)
     def test_step_cbow(self, shape):
@@ -239,17 +269,19 @@ class TestSparseOperatorsMatchDense:
     @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("width", [1, 4])
     def test_negatives_equal_to_their_target(self, k, width):
-        # a negative equal to its target has its coefficient zeroed, so its
-        # output term is a signed zero; zeros in the tables make some of those
-        # terms -0.0 and leave rows that only signed zeros reach
+        # a negative equal to its example's target has its coefficient
+        # zeroed, so its output term is a signed zero; zeros in the tables
+        # make some of those terms -0.0 and leave rows that only signed zeros
+        # reach.  50 examples: three full groups and a ragged one of two
         rng = np.random.default_rng(k)
         if width == 1:
             w_in, w_out, centers, targets, negs = skipgram_batch(rng, 9, 4, 50, k)
             ctx = centers[:, None]
         else:
             w_in, w_out, targets, ctx, negs = cbow_batch(rng, 9, 4, 50, width, k)
-        negs[:, 0] = targets
-        negs[::2] = targets[::2, None]
+        negs[:, 0] = targets[::NEGATIVE_GROUP]
+        negs[::2] = targets[::2 * NEGATIVE_GROUP, None]
+        negs[-1, -1] = targets[-1]
         w_in[::3, ::2] = -0.0
         w_out[::2, 1::2] = -0.0
         exp_in, exp_out = w_in.copy(), w_out.copy()
@@ -376,21 +408,17 @@ def ref_skipgram_pairs(encoded, window):
 
 
 def ref_step_skipgram(w_in, w_out, centers, contexts, negs, lr):
-    """The separate skip-gram step the shared step replaced."""
+    """The separate skip-gram step the shared step replaced, with the shared
+    negatives taken group by group."""
     lr = np.float32(lr)
     vc = w_in[centers]
     wo = w_out[contexts]
-    wn = w_out[negs]
     g_pos = (_sigmoid(np.einsum("bd,bd->b", vc, wo)) - 1.0).astype(np.float32)
-    g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, vc)).astype(np.float32)
-    g_neg *= negs != contexts[:, None]
-    grad_c = g_pos[:, None] * wo + np.einsum("bk,bkd->bd", g_neg, wn)
+    neg_grad, neg_sums = ref_shared_negatives(w_out, vc, contexts, negs, lr)
+    grad_c = g_pos[:, None] * wo + neg_grad
     dense_scatter_add(w_in, centers, -lr * grad_c)
     out_rows = np.concatenate((contexts, negs.ravel()))
-    out_grads = np.concatenate((
-        -lr * g_pos[:, None] * vc,
-        (-lr * g_neg[:, :, None] * vc[:, None, :]).reshape(-1, vc.shape[1]),
-    ))
+    out_grads = np.concatenate((-lr * g_pos[:, None] * vc, neg_sums))
     dense_scatter_add(w_out, out_rows, out_grads)
 
 
@@ -418,8 +446,7 @@ def skipgram_batch(rng, vocab, dim, batch, negatives=3):
     w_out = rng.normal(0, 0.3, (vocab, dim)).astype(np.float32)
     centers = rng.integers(0, vocab, batch).astype(np.int32)
     contexts = rng.integers(0, vocab, batch).astype(np.int32)
-    negs = rng.integers(0, vocab, (batch, negatives)).astype(np.int32)
-    return w_in, w_out, centers, contexts, negs
+    return w_in, w_out, centers, contexts, group_negatives(rng, vocab, batch, negatives)
 
 
 class TestSkipgramAsWidthOneCbow:
@@ -439,9 +466,10 @@ class TestSkipgramAsWidthOneCbow:
         assert np.array_equal(targets, contexts)
 
     # (vocab, dim, batch[, negatives]); then drift's demo shape, a batch of
-    # one, and one negative per example
+    # one, one negative per group, and one group and one row
     @pytest.mark.parametrize("shape", [(4, 3, 7), (50, 8, 3), (485, 100, 257),
-                                       (185, 100, 1024, 5), (6, 4, 1, 3), (40, 8, 33, 1)])
+                                       (185, 100, 1024, 5), (6, 4, 1, 3), (40, 8, 33, 1),
+                                       (12, 6, NEGATIVE_GROUP + 1, 2)])
     def test_width_one_step_matches_skipgram_step(self, shape):
         rng = np.random.default_rng(sum(shape))
         w_in, w_out, centers, contexts, negs = skipgram_batch(rng, *shape)
@@ -452,22 +480,21 @@ class TestSkipgramAsWidthOneCbow:
         assert w_out.tobytes() == exp_out.tobytes()
 
     def test_interleaved_output_order_is_seen(self):
-        # the output terms added example by example (each target, then its
-        # negatives) are the same terms in another order: close, but not the
-        # oracle's bits, so the bitwise tests can tell the two orders apart
+        # the output terms added group by group (each group's targets, then
+        # its negatives) are the same terms in another order: close, but not
+        # the oracle's bits, so the bitwise tests can tell the two orders apart
         rng = np.random.default_rng(3)
         w_in, w_out, centers, contexts, negs = skipgram_batch(rng, 185, 100, 1024, 5)
         exp_in, exp_out = w_in.copy(), w_out.copy()
         ref_step_skipgram(exp_in, exp_out, centers, contexts, negs, 0.3)
         lr = np.float32(0.3)
         vc = w_in[centers]
-        wo, wn = w_out[contexts], w_out[negs]
-        g_pos = (_sigmoid(np.einsum("bd,bd->b", vc, wo)) - 1.0).astype(np.float32)
-        g_neg = _sigmoid(np.einsum("bkd,bd->bk", wn, vc)).astype(np.float32)
-        g_neg *= negs != contexts[:, None]
-        coef = np.column_stack((g_pos, g_neg))  # (target, negatives) per example
-        rows = np.column_stack((contexts, negs)).ravel()
-        grads = (-lr * coef[:, :, None] * vc[:, None, :]).reshape(-1, vc.shape[1])
+        g_pos = (_sigmoid(np.einsum("bd,bd->b", vc, w_out[contexts])) - 1.0).astype(np.float32)
+        _, neg_sums = ref_shared_negatives(w_out, vc, contexts, negs, lr)
+        target_grads = (-lr * g_pos[:, None] * vc).reshape(len(negs), NEGATIVE_GROUP, -1)
+        rows = np.column_stack((contexts.reshape(len(negs), -1), negs)).ravel()
+        grads = np.concatenate((target_grads, neg_sums.reshape(len(negs), -1, vc.shape[1])),
+                               axis=1).reshape(-1, vc.shape[1])
         interleaved = w_out.copy()
         dense_scatter_add(interleaved, rows, grads)
         assert np.allclose(interleaved, exp_out, rtol=0, atol=1e-6)
@@ -553,36 +580,43 @@ class TestSparseKernel:
         assert np.array_equal(out, before)
 
 
-class TestGuideTable:
-    """Negatives read from the guide table equal ``searchsorted`` draws."""
+class TestNegativeDraws:
+    """Each group of ``NEGATIVE_GROUP`` examples of a batch draws k negatives:
+    a batch of b examples takes exactly ``ceil(b / G) * k`` uniforms from the
+    training stream, looked up in the noise CDF."""
 
-    @pytest.mark.parametrize("counts", [
-        [5],
-        [3] * 7,
-        [10**12, 1, 10**12, 10**12],  # one token of near-zero weight
-        list(np.random.default_rng(4).zipf(1.5, 3000)),
-    ])
-    def test_draws_equal_searchsorted(self, counts):
-        cdf = _noise_cdf(np.array(counts))
-        guide = _guide_table(cdf)
-        m = len(guide) - 1
-        assert m >= 16 * len(counts) and m & (m - 1) == 0
-        edges = np.arange(m + 1) / m
-        u = np.concatenate([
-            np.random.default_rng(0).random(10**6),
-            [0.0, np.nextafter(1.0, 0.0)],
-            edges[:-1],
-            np.nextafter(edges[1:], 0.0),
-        ])
-        got = _draw_negatives(guide, cdf, u)
-        assert got.dtype == np.int32
-        assert np.array_equal(got, np.searchsorted(cdf, u))
-
-    def test_keeps_the_draw_shape(self):
-        cdf = _noise_cdf(np.array([9, 4, 4, 1]))
-        u = np.random.default_rng(1).random((33, 5))
-        got = _draw_negatives(_guide_table(cdf), cdf, u)
-        assert np.array_equal(got, np.searchsorted(cdf, u))
+    # below one group, one group and a ragged one, a multiple of the group
+    # size, and one batch per epoch with a ragged last group
+    @pytest.mark.parametrize("batch_size", [1, 7, NEGATIVE_GROUP + 21, 4 * NEGATIVE_GROUP,
+                                            1024])
+    def test_batch_draws_one_row_per_group(self, monkeypatch, batch_size):
+        cfg = TrainConfig(mode="skipgram", dimension=4, window=2, negatives=3, epochs=2,
+                          batch_size=batch_size, seed=6)
+        sentences = SKIPGRAM_SENTENCES[0] * 3 + [["a", "b"]]  # 242 pairs
+        served = []
+        monkeypatch.setattr(embedding, "_step", lambda w_in, w_out, targets, indptr,
+                            indices, negs, lr: served.append((len(targets), negs)))
+        table = train(sentences, cfg)
+        n = len(ref_skipgram_pairs(_encode(sentences, table.vocab), cfg.window)[0])
+        assert n < 1024 and n % NEGATIVE_GROUP
+        # replay the stream: the two held-sample draws, then per epoch the
+        # permutation and each batch's uniforms
+        cdf = _noise_cdf(table.vocab.counts)
+        rng = np.random.default_rng(cfg.seed)
+        rng.choice(n, size=n, replace=False)
+        rng.random((n, cfg.negatives))
+        expected = []
+        for _ in range(cfg.epochs):
+            rng.permutation(n)
+            for lo in range(0, n, batch_size):
+                b = min(batch_size, n - lo)
+                u = rng.random((math.ceil(b / NEGATIVE_GROUP), cfg.negatives))
+                expected.append((b, np.searchsorted(cdf, u)))
+        assert len(served) == len(expected)
+        for (b, negs), (expected_b, expected_negs) in zip(served, expected):
+            assert b == expected_b
+            assert negs.dtype == np.int32
+            assert np.array_equal(negs, expected_negs)
 
 
 class TestTrain:

@@ -7,6 +7,7 @@ from scipy.stats import chisquare
 from hashscope.corpus import Corpus, PostRecord
 from hashscope.embedding import TrainConfig, cosine_distance, init_vectors, build_vocab
 from hashscope.social import (
+    BipartiteGraph,
     GraphError,
     WalkConfig,
     auc,
@@ -16,6 +17,7 @@ from hashscope.social import (
     learn_profiles,
     random_walks,
     sample_strangers,
+    _alias_tables,
 )
 from hashscope.synth import SyntheticSpec, generate_synthetic
 
@@ -85,6 +87,71 @@ class TestBuildGraph:
         posts = [PostRecord("u", ts(2013), frozenset())]
         with pytest.raises(GraphError):
             build_graph(Corpus(posts=posts))
+
+
+def ref_alias_tables(graph):
+    """The alias-table construction on numpy scalars and arrays that the
+    list-based loop replaced."""
+    accept = np.zeros(len(graph.weights))
+    alias = np.zeros(len(graph.weights), dtype=np.int64)
+    for node in range(graph.n_nodes):
+        lo, hi = graph.offsets[node], graph.offsets[node + 1]
+        w = graph.weights[lo:hi]
+        n = len(w)
+        scaled = w * n / w.sum()
+        small = [i for i in range(n) if scaled[i] < 1.0]
+        large = [i for i in range(n) if scaled[i] >= 1.0]
+        acc = np.ones(n)
+        ali = np.arange(n)
+        while small and large:
+            s = small.pop()
+            l = large.pop()
+            acc[s] = scaled[s]
+            ali[s] = l
+            scaled[l] -= 1.0 - scaled[s]
+            (small if scaled[l] < 1.0 else large).append(l)
+        accept[lo:hi] = acc
+        alias[lo:hi] = ali
+    return accept, alias
+
+
+def weighted_graph(rows):
+    """A graph whose node i has the edge weights ``rows[i]`` (neighbours are
+    not read by the alias tables)."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    weights = np.concatenate([np.asarray(r, dtype=np.float64) for r in rows])
+    return BipartiteGraph(users=[f"u{i}" for i in range(len(rows))], hashtags=[],
+                          offsets=offsets, neighbors=np.zeros(len(weights), dtype=np.int64),
+                          weights=weights, excluded_users=[])
+
+
+class TestAliasTables:
+    """The alias tables equal the numpy-scalar construction byte for byte."""
+
+    def assert_matches_reference(self, graph):
+        accept, alias = _alias_tables(graph)
+        ref_accept, ref_alias = ref_alias_tables(graph)
+        assert accept.dtype == ref_accept.dtype and alias.dtype == ref_alias.dtype
+        assert accept.tobytes() == ref_accept.tobytes()
+        assert alias.tobytes() == ref_alias.tobytes()
+
+    def test_shaped_weights(self):
+        rng = np.random.default_rng(8)
+        # uniform, one-hot, degree 1, a scaled weight of exactly 1.0 (which
+        # must go to the large list), extremes, then random weights
+        rows = [[3.0] * 7, [0.0, 0.0, 5.0, 0.0], [1.0], [2.0], [1.0, 2.0, 3.0],
+                [1.0, 1e-12, 1e12], rng.integers(1, 40, 50), rng.random(13),
+                rng.random(1000) ** 4, np.arange(1.0, 11.0)]
+        self.assert_matches_reference(weighted_graph(rows))
+
+    def test_synthetic_graph(self):
+        corpus = generate_synthetic(SyntheticSpec(users=60, hashtags=80, posts=4000, seed=3))
+        self.assert_matches_reference(build_graph(corpus))
+
+    def test_dangling_node_rejected(self):
+        with pytest.raises(GraphError, match="dangling node 1"):
+            _alias_tables(weighted_graph([[1.0, 2.0], [], [3.0]]))
 
 
 class TestRandomWalks:

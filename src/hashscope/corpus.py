@@ -29,6 +29,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 MAX_HASHTAGS_PER_POST = 30
+SAVE_BLOCK = 2 ** 16  # posts that save_corpus turns into Python objects at once
 
 CSV_HEADER = ["user", "time", "hashtags", "location"]
 FRIENDS_HEADER = ["user_a", "user_b"]
@@ -561,16 +562,19 @@ def load_corpus(
 
 def _rows_for_saving(corpus: Corpus, quote):
     """Per post: user, time, its hashtag names and its location (None for
-    none), each name passed once through ``quote``."""
+    none), each name passed once through ``quote``, SAVE_BLOCK posts at a time."""
     users = [quote(u) for u in corpus.user_names]
     locations = [quote(loc) for loc in corpus.location_names] + [None]  # id -1: none
     tag_names = [quote(t) for t in corpus.tag_names]
-    tags = [tag_names[t] for t in corpus.tag_ids.tolist()]
-    bounds = corpus.tag_offsets.tolist()
-    for user, time, start, stop, location in zip(
-            corpus.user_ids.tolist(), corpus.times.tolist(),
-            bounds, bounds[1:], corpus.location_ids.tolist()):
-        yield users[user], time, tags[start:stop], locations[location]
+    for lo in range(0, len(corpus.user_ids), SAVE_BLOCK):
+        hi = lo + SAVE_BLOCK
+        bounds = corpus.tag_offsets[lo:hi + 1]
+        tags = [tag_names[t] for t in corpus.tag_ids[bounds[0]:bounds[-1]].tolist()]
+        bounds = (bounds - bounds[0]).tolist()
+        for user, time, start, stop, location in zip(
+                corpus.user_ids[lo:hi].tolist(), corpus.times[lo:hi].tolist(),
+                bounds, bounds[1:], corpus.location_ids[lo:hi].tolist()):
+            yield users[user], time, tags[start:stop], locations[location]
 
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:

@@ -15,7 +15,6 @@ always yields a byte-identical corpus.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -236,94 +235,82 @@ def _temporal_profiles(spec: SyntheticSpec, pool: list[str]) -> np.ndarray:
     return profiles
 
 
-# a row's m-th Gumbel key is bounded below by the m-th key among this many
-# columns of largest weight (or among the m largest, if m is more)
-LEAD_COLUMNS = 32
-# doubles per block of _gumbel_top_m rows (2 MB)
-SAMPLER_BLOCK = 2 ** 18
+# rows drawn together by _successive_picks (its draws, and so every corpus,
+# depend on it), and doubles per block of _remaining_picks (2 MB)
+PICK_BLOCK = 2 ** 13
+FALLBACK_BLOCK = 2 ** 18
+# redraws of a repeated pick before a row draws from its remaining weights
+REJECTION_ROUNDS = 8
 
 
-def _nonzero_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The next ``n`` nonzero doubles of ``rng.random()``: the doubles that
-    ``rng.gumbel`` turns into ``n`` variates, since it discards a 0.0 and
-    draws again."""
-    u = rng.random(n)
-    while u.min() == 0.0:
-        kept = u[u != 0.0]
-        u = np.concatenate([kept, rng.random(n - len(kept))])
-    return u
+def _remaining_picks(rng: np.random.Generator, w: np.ndarray, first: np.ndarray,
+                     lengths: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """One pick per row from its pool ``w[first:first + length]`` with the
+    row's ``picked`` indices (into ``w``) weighted 0: the law that redrawing
+    until no repeat samples. Every weight is positive and ``u * total`` stays
+    below the total, so the pick is new."""
+    width = int(lengths.max())
+    cols = np.arange(width)
+    out = np.empty(len(first), dtype=np.int32)
+    step = max(1, FALLBACK_BLOCK // width)
+    for lo in range(0, len(first), step):
+        f, n = first[lo:lo + step, None], lengths[lo:lo + step, None]
+        rest = np.where(cols < n, w.take(f + cols, mode="clip"), 0.0)
+        np.put_along_axis(rest, picked[lo:lo + step] - f, 0.0, axis=1)
+        cdf = np.cumsum(rest, axis=1)
+        x = rng.random(len(f)) * cdf[:, -1]
+        out[lo:lo + step] = f[:, 0] + (cdf <= x[:, None]).sum(axis=1)
+    return out
 
 
-def _approx_keys(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``log_w`` plus the Gumbel variates of ``u``, through numpy's ``log``,
-    whose last bit may differ from libm's."""
-    return log_w - np.log(-np.log(1.0 - u))
+def _successive_picks(rng: np.random.Generator, log_weights: list[np.ndarray],
+                      group: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row r, ``sizes[r]`` distinct indices into pool ``group[r]``
+    (at most its length), drawn with probability ~ ``exp(log_weights[group[r]])``.
 
+    Successive sampling without replacement: each pick is an inverse-CDF
+    draw over the pool, drawn again while it repeats one of the row's
+    earlier picks, up to REJECTION_ROUNDS times, and then drawn from the
+    row's remaining weights. So each pick follows the weights renormalised
+    over the hashtags not yet picked: the Plackett-Luce law of Gumbel-top-m
+    sampling (Kool et al. 2019), order of picks included.
 
-def _near_tie_rows(rows: np.ndarray, keys: np.ndarray, picked: np.ndarray) -> list[int]:
-    """The rows in which a picked key is within 1e-12 (relative, floored at
-    1e-12 absolute) of the next key of its row; ``rows`` ascend and ``keys``
-    descend within a row."""
-    near = picked[:-1] & (rows[1:] == rows[:-1]) & (
-        keys[:-1] - keys[1:] <= 1e-12 * (1.0 + np.abs(keys[:-1])))
-    return sorted(set(rows[:-1][near].tolist()))
-
-
-def _exact_order(log_w: np.ndarray, u: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``cols`` by descending key, then by column, each key with the bits of
-    ``log_w[j] + rng.gumbel()``: numpy computes ``-log(-log(1 - u))`` with
-    libm's ``log``, as ``math.log`` does."""
-    keys = [lw - math.log(-math.log(1.0 - x))
-            for lw, x in zip(log_w[cols].tolist(), u[cols].tolist())]
-    return cols[np.lexsort((cols, np.negative(keys)))]
-
-
-def _gumbel_top_m(rng: np.random.Generator, log_w: np.ndarray,
-                  sizes: np.ndarray) -> np.ndarray:
-    """For each row size m (1 <= m <= len(log_w)), draw m distinct indices
-    with probability ~ w, every row's picks in turn in one flat array.
-
-    Gumbel-top-k sampling without replacement (Kool et al. 2019): row r
-    picks the ``sizes[r]`` columns of largest key ``log_w + g``, where ``g``
-    is row r of ``rng.gumbel(size=(rows, len(log_w)))``. The picks are in
-    descending key order, ties broken by column index, and the generator is
-    left as those draws leave it. The rows are drawn in blocks of at most
-    SAMPLER_BLOCK doubles (one row when a row is longer), which bounds the
-    block's uniforms, bounds and mask; the doubles drawn, and so the picks,
-    do not depend on the block size.
-
-    A block draws its doubles with ``rng.random``, which yields the ones
-    ``rng.gumbel`` uses, and computes keys only for columns that can reach a
-    row's top: since ``-log(1 - u) >= u``, column j's key reaches t only if
-    ``u <= w[j] * exp(-t)``. t is the row's m-th key among the ``lead``
-    columns of largest weight, lowered by a margin far above rounding error,
-    so it never exceeds the row's m-th key. Keys go through numpy's ``log``;
-    a row with a near tie among its picks is ordered again through libm's.
+    The CDFs, each shifted by its group index g, form one sorted array, so
+    one ``searchsorted`` of ``g + u`` draws for every group; a ``g + u``
+    that rounds up to ``g + 1`` takes the group's last index. Weights are
+    scaled to a largest of 1 and floored at the smallest normal double, so
+    none is 0. Rows go in blocks of PICK_BLOCK, by descending size within a
+    block, so the rows still drawing are a prefix. Returns ``(rows, picks)``,
+    one entry per pick; ``picks`` index the concatenated pools.
     """
-    v = len(log_w)
-    w = np.exp(log_w)
-    lead = np.argsort(-log_w)[:max(int(sizes.max()), LEAD_COLUMNS)]
-    chunk = max(1, SAMPLER_BLOCK // max(v, 1))
-    picks: list[np.ndarray] = []
-    for lo in range(0, len(sizes), chunk):
-        size = sizes[lo:lo + chunk]
-        n = len(size)
-        u = _nonzero_uniforms(rng, n * v).reshape(n, v)
-        bound = np.sort(_approx_keys(log_w[lead], u[:, lead]), axis=1)[
-            np.arange(n), len(lead) - size]
-        bound -= 1e-9 * (1.0 + np.abs(bound))
-        rows, cols = np.divmod(np.flatnonzero(u <= np.multiply.outer(np.exp(-bound), w)), v)
-        keys = _approx_keys(log_w[cols], u[rows, cols])
-        order = np.lexsort((-keys, rows))
-        rows, cols, keys = rows[order], cols[order], keys[order]
-        counts = np.bincount(rows, minlength=n)
-        starts = np.cumsum(counts) - counts
-        picked = np.arange(len(rows)) - starts[rows] < size[rows]
-        for r in _near_tie_rows(rows, keys, picked):
-            row = slice(starts[r], starts[r] + counts[r])
-            cols[row] = _exact_order(log_w, u[r], cols[row])
-        picks.append(cols[picked])
-    return np.concatenate(picks)
+    w, cdf = [], []
+    for g, lw in enumerate(log_weights):
+        w.append(np.maximum(np.exp(lw - lw.max()), np.finfo(np.float64).tiny))
+        c = np.cumsum(w[-1])
+        cdf.append(c / c[-1] + g)
+    w, cdf = np.concatenate(w), np.concatenate(cdf)
+    lengths = np.array(list(map(len, log_weights)))
+    first = np.cumsum(lengths) - lengths
+    rows, picks = [], []
+    for lo in range(0, len(sizes), PICK_BLOCK):
+        order = lo + np.argsort(-sizes[lo:lo + PICK_BLOCK], kind="stable")
+        size, g = sizes[order], group[order]
+        block = np.empty((len(order), size[0]), dtype=np.int32)
+        for j in range(size[0]):
+            todo = np.arange(np.count_nonzero(size > j))
+            for _ in range(1 + REJECTION_ROUNDS):
+                u = g[todo] + rng.random(len(todo))
+                block[todo, j] = np.minimum(np.searchsorted(cdf, u, side="right"),
+                                            first[g[todo]] + lengths[g[todo]] - 1)
+                todo = todo[(block[todo, :j] == block[todo, j, None]).any(axis=1)]
+                if not len(todo):
+                    break
+            else:
+                block[todo, j] = _remaining_picks(rng, w, first[g[todo]], lengths[g[todo]],
+                                                  block[todo, :j])
+        rows.append(np.repeat(order, size))
+        picks.append(block[np.arange(size[0]) < size[:, None]])
+    return np.concatenate(rows), np.concatenate(picks)
 
 
 def _sample_distinct_pair(rng: np.random.Generator, pool: np.ndarray) -> tuple[int, int]:
@@ -360,6 +347,58 @@ def _sample_friendships(spec: SyntheticSpec, rng: np.random.Generator,
     return pairs
 
 
+def _pool_pairs(spec: SyntheticSpec, rng: np.random.Generator, post_comm: np.ndarray,
+                post_quarter: np.ndarray, m_comm: np.ndarray,
+                m_glob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every post's pool hashtags as flat (post, hashtag) arrays: ``m_comm``
+    picks from its community's pool and ``m_glob`` from the whole pool
+    (cross-community noise), weighted by Zipf rank times the temporal
+    profile of the post's quarter."""
+    pool = spec.pool_tags()
+    n_pool, n_comm = len(pool), spec.n_communities
+    log_zipf = -spec.zipf_exponent * np.log(np.arange(1, n_pool + 1))
+    log_profiles = np.log(_temporal_profiles(spec, pool))
+
+    # the draw groups, community pools by (community, quarter) first, then
+    # the whole pool by quarter: their pools, weights, posts and sizes
+    pools, log_w, posts, sizes = [], [], [], []
+
+    def add_group(tags, q, rows, m):
+        if len(rows) and len(tags):
+            pools.append(tags)
+            log_w.append(log_zipf[tags] + log_profiles[tags, q])
+            posts.append(rows)
+            sizes.append(np.minimum(m[rows], len(tags)))
+
+    for c in range(n_comm):
+        for q in range(spec.n_quarters):
+            add_group(np.arange(c, n_pool, n_comm), q,
+                      np.flatnonzero((post_comm == c) & (post_quarter == q) & (m_comm > 0)), m_comm)
+    comm_end = sum(map(len, pools))  # picks below this index are community picks
+    if n_comm > 1:
+        for q in range(spec.n_quarters):
+            add_group(np.arange(n_pool), q, np.flatnonzero((post_quarter == q) & (m_glob > 0)),
+                      m_glob)
+    if not pools:
+        return (np.empty(0, dtype=np.int64),) * 2
+    group = np.repeat(np.arange(len(pools)), list(map(len, posts)))
+    rows, picks = _successive_picks(rng, log_w, group, np.concatenate(sizes))
+    chosen = np.concatenate(pools)[picks]
+
+    # synonym pairs: a community pick of a pair member is re-rolled uniformly
+    # between the two variants with probability pair_affinity (so swapped
+    # with half that), making the variants interchangeable
+    if spec.pair_affinity > 0:
+        partner = np.full(n_pool, -1)
+        pool_index = {t: i for i, t in enumerate(pool)}
+        for a, b in spec.synonym_pairs():
+            partner[pool_index[a]], partner[pool_index[b]] = pool_index[b], pool_index[a]
+        swap = ((picks < comm_end) & (partner[chosen] >= 0)
+                & (rng.random(len(chosen)) < spec.pair_affinity / 2))
+        chosen = np.where(swap, partner[chosen], chosen)
+    return np.concatenate(posts)[rows], chosen
+
+
 def generate_synthetic(spec: SyntheticSpec) -> Corpus:
     """Generate a corpus realizing the spec's planted structure.
 
@@ -369,13 +408,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
     spec.validate()
     rng = np.random.default_rng(spec.seed)
 
-    pool = spec.pool_tags()
-    n_pool = len(pool)
+    n_pool = spec.hashtags - spec.drifted
     n_comm = spec.n_communities
-    tag_comm = np.arange(n_pool) % n_comm
-    zipf = 1.0 / np.power(np.arange(1, n_pool + 1), spec.zipf_exponent)
-    profiles = _temporal_profiles(spec, pool)
-    n_q = spec.n_quarters
 
     start_ts = int(datetime(spec.start_year, 1, 1, tzinfo=timezone.utc).timestamp())
     end_ts = int(datetime(spec.start_year + spec.years, 1, 1, tzinfo=timezone.utc).timestamp())
@@ -430,49 +464,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
 
     # each draw's (posts, hashtags) arrays, one entry per (post, hashtag) pair;
     # hashtags index spec.all_tags(), repeats allowed
-    pairs = [(np.empty(0, dtype=np.int64),) * 2]
-    log_zipf = np.log(zipf)
-
-    # synonym pairs: a drawn pair member is re-rolled uniformly between the
-    # two variants with probability pair_affinity, making the variants
-    # interchangeable (near-identical context distributions)
-    partner_idx = np.full(n_pool, -1)
-    if spec.pair_affinity > 0:
-        pool_index = {t: i for i, t in enumerate(pool)}
-        for a, b in spec.synonym_pairs():
-            partner_idx[pool_index[a]] = pool_index[b]
-            partner_idx[pool_index[b]] = pool_index[a]
-    swap_pairs = spec.pair_affinity > 0 and (partner_idx >= 0).any()
-
-    # community-pool draws, grouped by (community, quarter)
-    for c in range(n_comm):
-        comm_tags = np.flatnonzero(tag_comm == c)
-        for q in range(n_q):
-            rows = np.flatnonzero((post_comm == c) & (post_quarter == q) & (m_comm > 0))
-            if len(rows) == 0 or len(comm_tags) == 0:
-                continue
-            w = log_zipf[comm_tags] + np.log(profiles[comm_tags, q])
-            want = np.minimum(m_comm[rows], len(comm_tags))
-            chosen = comm_tags[_gumbel_top_m(rng, w, want)]
-            if swap_pairs:
-                # row by row, m reroll doubles then m flip doubles: a row
-                # whose picks start at o reads u[2o:2o + m], then u[2o + m:2o + 2m]
-                u = rng.random(2 * len(chosen))
-                at = np.repeat(np.cumsum(want) - want, want) + np.arange(len(chosen))
-                reroll = (partner_idx[chosen] >= 0) & (u[at] < spec.pair_affinity)
-                flip = reroll & (u[at + np.repeat(want, want)] < 0.5)
-                chosen = np.where(flip, partner_idx[chosen], chosen)
-            pairs.append((np.repeat(rows, want), chosen))
-
-    # global-pool draws (cross-community noise), grouped by quarter
-    if n_comm > 1:
-        for q in range(n_q):
-            rows = np.flatnonzero((post_quarter == q) & (m_glob > 0))
-            if len(rows) == 0:
-                continue
-            w = log_zipf + np.log(profiles[:, q])
-            want = np.minimum(m_glob[rows], n_pool)
-            pairs.append((np.repeat(rows, want), _gumbel_top_m(rng, w, want)))
+    pairs = [_pool_pairs(spec, rng, post_comm, post_quarter, m_comm, m_glob)]
 
     # drifted-hashtag injection: owner-dominated, community-bound per period
     drift_year = spec.effective_drift_year

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hashscope import corpus as corpus_module
 from hashscope.corpus import (
     MAX_TIME, MIN_TIME, Corpus, PostRecord, QuarterBucket, bucket_share_series,
     load_corpus, quarter_range, save_corpus,
@@ -25,6 +26,7 @@ from hashscope.corpus import (
 from hashscope.reports import StatsReport, _log_bins, report_stats
 from hashscope.social import GraphError, build_graph
 from hashscope.spatial import CategoryStats, category_propensity
+from hashscope.synth import SyntheticSpec, generate_synthetic
 
 from conftest import ts
 
@@ -354,3 +356,15 @@ def test_jsonl_and_csv_loads_give_equal_columns(rows):
         assert getattr(from_jsonl, name) == getattr(from_records, name)
     assert from_jsonl.tag_names == sorted(from_jsonl.tag_names)
     assert from_jsonl.posts == posts
+
+
+@pytest.mark.parametrize("format", ["jsonl", "csv"])
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_save_in_blocks_matches_reference(tmp_path, monkeypatch, format, block):
+    # one post a block, ragged blocks of 7 over 500 posts, and one block
+    corpus = generate_synthetic(SyntheticSpec(users=30, hashtags=40, posts=500,
+                                              located_rate=0.5, seed=3))
+    monkeypatch.setattr(corpus_module, "SAVE_BLOCK", block)
+    save_corpus(corpus, tmp_path / "saved", format=format)
+    ref_save(corpus.posts, tmp_path / "ref", format)
+    assert (tmp_path / "saved").read_bytes() == (tmp_path / "ref").read_bytes()

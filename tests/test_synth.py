@@ -1,16 +1,19 @@
 import hashlib
-import math
+import itertools
+import subprocess
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import chi2_contingency, chisquare, ks_2samp
 
+from conftest import cli_env
 from hashscope import cli, synth
 from hashscope.corpus import QuarterBucket, save_corpus
 from hashscope.social import sample_strangers
 from hashscope.synth import (
-    SynthesisError, SyntheticSpec, _approx_keys, _exact_order, _gumbel_top_m,
-    _near_tie_rows, _nonzero_uniforms, generate_synthetic,
+    SynthesisError, SyntheticSpec, _successive_picks, generate_synthetic,
 )
 
 
@@ -215,24 +218,23 @@ def corpus_digest(corpus):
     # mixed sizes, with drift injections after the pool draws
     (SyntheticSpec(users=80, hashtags=120, posts=4000, communities=6, pair_affinity=0.4,
                    mean_extra_tags=3.0, drifted=2, seed=21),
-     "bf4141a20906b5a4df719e653a106c7e4c1e987aeac9a4af674b56af5393772c"),
+     "4f6d07fbc8dc644f19cb814e39ceac4f25d0d6a3455e819deb85763c2c0343f9"),
     (SyntheticSpec(users=60, hashtags=90, posts=3000, communities=4, adoption_growth=True,
                    located_rate=0.6, seed=22),
-     "d92ac5957477f5659f0f57ca6d3e52d3cc9d536fa113145ae06a6d68a4899fe7"),
+     "5bf0982237f016edebcff3b47101e0b5563f5ea1f83dc83d1c90c37d85fc5ed9"),
     (SyntheticSpec(users=50, hashtags=200, posts=3000, communities=1, periodic=5, meteor=3,
                    seed=23),
-     "3ddf80d33aec3e042c48445b8fbc1e8bb38f553919fc6a2603fbef6d010133e5"),
+     "fe84d98d0846fd551b1de145d73036a733a6bcb9b16a5c9d5e24115c9d7a9637"),
 ], ids=["pair-affinity-0.4", "adoption-growth-located", "one-community"])
 def test_pinned_corpus_digest(spec, digest):
     assert corpus_digest(generate_synthetic(spec)) == digest
 
 
 def ref_gumbel_top_m(rng, log_w, sizes):
-    """The sampler the generator used before it computed keys only for
-    columns that can win: every column's Gumbel key, then the first m of an
-    ``argpartition`` prefix. numpy does not specify that prefix's order; it
-    came out in key order in every row tried at sizes below 25, and a row
-    whose prefix is out of order gets a wrong top m."""
+    """The generator's former sampler, kept as the reference law: each row
+    takes the ``size`` columns of largest Gumbel key ``log_w + g`` (Kool et
+    al. 2019), from an ``argpartition`` prefix (whose order numpy does not
+    specify, so only the set of a row's picks is compared)."""
     n, m_max = len(sizes), int(sizes.max())
     picks = []
     chunk = max(1, 2_000_000 // max(len(log_w), 1))
@@ -258,12 +260,52 @@ def post_sizes(v, rows, seed):
     return np.minimum(1 + np.random.default_rng(seed).poisson(2.0, rows), v)
 
 
-def same_picks(rows, picks, sizes):
-    """Whether the flat ``picks`` of rows of ``sizes`` are ``rows``, row by row."""
-    if len(picks) != sum(sizes):
-        return False
-    split = np.split(picks, np.cumsum(sizes)[:-1])
-    return len(rows) == len(split) and all(np.array_equal(x, y) for x, y in zip(rows, split))
+def picks_by_row(log_weights, group, sizes, seed):
+    """``_successive_picks`` as one array of picks per input row, each
+    local to its row's pool and in pick order."""
+    rows, picks = _successive_picks(np.random.default_rng(seed), log_weights, group, sizes)
+    lengths = np.array([len(lw) for lw in log_weights])
+    first = np.cumsum(lengths) - lengths
+    assert np.array_equal(np.bincount(rows, minlength=len(sizes)), sizes)
+    order = np.argsort(rows, kind="stable")
+    local = picks[order] - first[group[rows[order]]]
+    return np.split(local, np.cumsum(sizes)[:-1])
+
+
+def ref_successive_picks(rng, log_weights, group, sizes):
+    """``_successive_picks`` through the reference sampler, group by group."""
+    lengths = np.array([len(lw) for lw in log_weights])
+    first = np.cumsum(lengths) - lengths
+    rows, picks = [], []
+    for g, log_w in enumerate(log_weights):
+        r = np.flatnonzero(group == g)
+        rows.append(np.repeat(r, sizes[r]))
+        picks.append(first[g] + np.concatenate(ref_gumbel_top_m(rng, log_w, sizes[r])))
+    return np.concatenate(rows), np.concatenate(picks)
+
+
+def binned(counts, expected_min=5.0):
+    """The 2 x v table ``counts`` with the columns whose cells would expect
+    fewer than ``expected_min`` merged into one column, so that the
+    chi-square approximation holds."""
+    rare = counts.sum(axis=0) < expected_min * len(counts)
+    merged = counts[:, rare].sum(axis=1, keepdims=True)
+    return np.hstack([counts[:, ~rare], merged]) if merged.any() else counts[:, ~rare]
+
+
+def same_law(ref, new, v):
+    """The p-value of a two-sample chi-square test that the column indices
+    ``ref`` and ``new`` (each in range(v)) come from one distribution."""
+    table = binned(np.array([np.bincount(ref, minlength=v), np.bincount(new, minlength=v)]))
+    return chi2_contingency(table).pvalue
+
+
+def tag_quarter_counts(corpus):
+    counts = Counter()
+    for post in corpus.posts:
+        quarter = QuarterBucket.from_timestamp(post.time).index
+        counts.update((tag, quarter) for tag in post.hashtags)
+    return counts
 
 
 class ScriptedRng:
@@ -279,101 +321,139 @@ class ScriptedRng:
 
 
 class TestGumbelTopM:
+    """The sampler against the law of the reference Gumbel-top-m sampler.
+    Every test draws with fixed seeds, so its p-value is fixed too."""
+
     @pytest.mark.parametrize("zipf_exponent", [0.0, 0.8])
     @pytest.mark.parametrize("v", [1, 2, 22, 175, 375, 3000])
     def test_matches_reference_sampler(self, v, zipf_exponent):
+        # how often each column is picked, rows of mixed sizes, some of them
+        # as large as the pool
         log_w = pool_log_w(v, zipf_exponent, seed=v) if zipf_exponent else np.zeros(v)
-        # 1500 rows of 3000 columns span 18 of the sampler's 2**18 // v row
-        # blocks, the last one ragged, and three of the reference's
-        # 2_000_000 // v blocks
-        sizes = post_sizes(v, 1500 if v == 3000 else 400, seed=v)
+        sizes = post_sizes(v, 3000, seed=v)
         if v <= 22:
             sizes[::5] = v
-        old, new = np.random.default_rng(7), np.random.default_rng(7)
-        assert same_picks(ref_gumbel_top_m(old, log_w, sizes), _gumbel_top_m(new, log_w, sizes),
-                          sizes)
-        assert old.bit_generator.state == new.bit_generator.state
+        ref = np.concatenate(ref_gumbel_top_m(np.random.default_rng(7), log_w, sizes))
+        new = np.concatenate(picks_by_row([log_w], np.zeros(len(sizes), dtype=np.int64), sizes,
+                                          seed=7))
+        assert same_law(ref, new, v) > 0.001
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize("v", [22, 375, 2990])
+    def test_inclusion_matches_reference(self, v, m):
+        log_w = pool_log_w(v, 0.8, seed=v + m)
+        rows = 3000 if v == 2990 else 6000
+        sizes = np.full(rows, m)
+        ref = np.concatenate(ref_gumbel_top_m(np.random.default_rng(v), log_w, sizes))
+        new = np.concatenate(picks_by_row([log_w], np.zeros(rows, dtype=np.int64), sizes,
+                                          seed=v))
+        assert same_law(ref, new, v) > 0.001
 
     @pytest.mark.parametrize("v", [175, 3000])
     def test_picks_are_top_keys_in_key_order(self, v):
-        # at sizes up to the generator's cap of 28 the reference sampler's
-        # argpartition prefix can be out of order; here the picks are checked
-        # against a full stable sort of the same Gumbel keys instead
+        # the j-th pick against the column of the j-th largest Gumbel key
         log_w = pool_log_w(v, 0.8, seed=102)
-        sizes = post_sizes(v, 1500 if v == 3000 else 400, seed=v)
-        sizes[::7] = 28
-        # the Gumbel draws do not depend on the block size, so any will do
-        ranked, rng = [], np.random.default_rng(2)
-        chunk = 2_000_000 // v
-        for lo in range(0, len(sizes), chunk):
-            keys = log_w + rng.gumbel(size=(len(sizes[lo:lo + chunk]), v))
-            ranked.extend(np.argsort(-keys, axis=1, kind="stable"))
-        new = np.random.default_rng(2)
-        picks = _gumbel_top_m(new, log_w, sizes)
-        assert same_picks([r[:m] for r, m in zip(ranked, sizes)], picks, sizes)
-        assert new.bit_generator.state == rng.bit_generator.state
+        rows, rng = 4000, np.random.default_rng(2)
+        ref = np.concatenate([np.argsort(-(log_w + rng.gumbel(size=(500, v))), axis=1)[:, :3]
+                              for _ in range(rows // 500)])
+        new = np.array(picks_by_row([log_w], np.zeros(rows, dtype=np.int64),
+                                    np.full(rows, 3), seed=2))
+        for j in range(3):
+            assert same_law(ref[:, j], new[:, j], v) > 0.001, j
 
     @pytest.mark.parametrize("spec", [
-        # test_acceptance.py's criterion 8 spec: pair-affinity swaps are drawn
-        # per pick, so they follow the pick order
+        # test_acceptance.py's criterion 8 spec: synonym swaps after the picks
         SyntheticSpec(users=300, hashtags=168, posts=30000, years=1, start_year=2013,
                       communities=24, community_mix=0.92, pair_affinity=1.0,
                       zipf_exponent=0.8, mean_extra_tags=2.5, seed=17),
-        # one community: every post draws from the whole pool, in one loop
+        # one community: every post draws from the whole pool
         SyntheticSpec(users=200, hashtags=1200, posts=8000, periodic=10, meteor=5,
                       communities=1, located_rate=0.3, seed=4),
     ], ids=["pair-affinity", "one-community"])
     def test_generator_matches_reference_sampler(self, spec, monkeypatch):
-        new = generate_synthetic(spec)
-        monkeypatch.setattr(synth, "_gumbel_top_m",
-                            lambda *args: np.concatenate(ref_gumbel_top_m(*args)))
-        old = generate_synthetic(spec)
-        assert new.posts == old.posts
-        assert new.friendships == old.friendships
-        assert new.location_categories == old.location_categories
+        # the whole generator, its group weights and swaps included, against
+        # itself on the reference sampler: how often each hashtag is used in
+        # each quarter
+        new = tag_quarter_counts(generate_synthetic(spec))
+        monkeypatch.setattr(synth, "_successive_picks", ref_successive_picks)
+        old = tag_quarter_counts(generate_synthetic(spec))
+        keys = sorted(old.keys() | new.keys())
+        table = binned(np.array([[old[k] for k in keys], [new[k] for k in keys]]))
+        assert chi2_contingency(table).pvalue > 0.001
 
-    def test_zero_draws_are_redrawn_in_order(self):
-        rng = ScriptedRng([0.5, 0.0, 0.25, 0.0, 0.0, 0.75, 0.125, 0.9])
-        u = _nonzero_uniforms(rng, 4)
-        assert u.tolist() == [0.5, 0.25, 0.75, 0.125]
-        # rng.gumbel takes the same seven doubles for four variates
-        assert rng.taken == 7
 
-    def test_math_log_reproduces_gumbel_bits(self):
-        g = np.random.default_rng(11).gumbel(size=100_000)
-        u = np.random.default_rng(11).random(100_000)
-        exact = np.array([0.0 - math.log(-math.log(1.0 - x)) for x in u.tolist()])
-        assert np.array_equal(g.view(np.int64), exact.view(np.int64))
+class TestSuccessivePicks:
+    def test_first_picks_follow_the_weights(self):
+        # a first pick is one inverse-CDF draw: frequency w / W exactly
+        log_w = pool_log_w(22, 0.8, seed=1)
+        rows = 20000
+        firsts = [r[0] for r in picks_by_row([log_w], np.zeros(rows, dtype=np.int64),
+                                             np.full(rows, 3), seed=2)]
+        w = np.exp(log_w)
+        stat = chisquare(np.bincount(firsts, minlength=22), rows * w / w.sum())
+        assert stat.pvalue > 0.001, stat
 
-    def test_exact_order_follows_gumbel_bits_through_near_ties(self):
-        # log weights that cancel numpy's keys leave keys a few ulps apart,
-        # so only exact arithmetic orders them
-        u = np.random.default_rng(5).random(200)
-        log_w = 3.0 - _approx_keys(np.zeros(200), u)
-        keys = log_w + np.random.default_rng(5).gumbel(size=200)
-        assert len(np.unique(keys)) > 1
-        expected = np.lexsort((np.arange(200), -keys))
-        cols = np.random.default_rng(6).permutation(200)
-        assert np.array_equal(_exact_order(log_w, u, cols), expected)
-        # and the sampler, whose one row draws the same doubles, falls back to it
-        picks = _gumbel_top_m(np.random.default_rng(5), log_w, np.array([200]))
-        assert np.array_equal(picks, expected)
+    @pytest.mark.parametrize("rounds", [0, 8])
+    def test_orders_follow_plackett_luce(self, rounds, monkeypatch):
+        # every ordered pick of 3 of 5 hashtags against its exact
+        # Plackett-Luce probability; with no rejection rounds every repeat
+        # goes to the remaining-weights draw, so that draw's law is tested
+        monkeypatch.setattr(synth, "REJECTION_ROUNDS", rounds)
+        w = np.array([8.0, 4.0, 2.0, 1.0, 1.0])
+        rows = 20000
+        picks = picks_by_row([np.log(w)], np.zeros(rows, dtype=np.int64),
+                             np.full(rows, 3), seed=3)
+        orders = list(itertools.permutations(range(5), 3))
+        seen = dict.fromkeys(orders, 0)
+        for r in picks:
+            seen[tuple(r.tolist())] += 1
+        expected = [w[a] / w.sum() * w[b] / (w.sum() - w[a]) * w[c] / (w.sum() - w[a] - w[b])
+                    for a, b, c in orders]
+        stat = chisquare(list(seen.values()), rows * np.array(expected))
+        assert stat.pvalue > 0.001, stat
 
-    def test_exact_order_breaks_equal_keys_by_column(self):
-        # a smaller double gives a larger key
-        u = np.array([0.3, 0.7, 0.3, 0.5])
-        assert _exact_order(np.zeros(4), u, np.array([3, 2, 1, 0])).tolist() == [0, 2, 3, 1]
+    def test_rows_get_their_sizes_in_distinct_picks(self, monkeypatch):
+        # pools of 1, 4, 30 and 375 hashtags, rows as large as their pool
+        # among them, weights as skewed as Zipf exponent 10, and blocks of 7
+        # rows, so that rows of one group span blocks
+        monkeypatch.setattr(synth, "PICK_BLOCK", 7)
+        log_weights = [np.zeros(1), -10 * np.log(np.arange(1, 5)), pool_log_w(30, 0.8, 4),
+                       pool_log_w(375, 2.0, 5)]
+        lengths = np.array([len(lw) for lw in log_weights])
+        rng = np.random.default_rng(6)
+        group = rng.integers(0, 4, 500)
+        sizes = np.minimum(post_sizes(28, 500, seed=7), lengths[group])
+        sizes[::5] = lengths[group[::5]]
+        for r, size, g in zip(picks_by_row(log_weights, group, sizes, seed=8), sizes,
+                              group):
+            assert len(r) == size
+            assert len(np.unique(r)) == size
+            assert r.min() >= 0 and r.max() < lengths[g]
 
-    def test_near_tie_rows(self):
-        rows = np.array([0, 0, 0, 1, 1, 1, 2, 3, 3])
-        keys = np.array([9.0, 5.0, 5.0 - 1e-13,   # last pick ties the next key
-                         7.0, 6.0, 6.0,           # a tie past the picks
-                         2.0,                     # equal to the next row's first
-                         2.0, 2.0 - 1e-9])        # apart by more than 1e-12
-        picked = np.array([True, True, False, True, False, False, True, True, False])
-        assert _near_tie_rows(rows, keys, picked) == [0]
+    def test_underflowing_weights_still_give_distinct_picks(self):
+        # exp(-1000) is 0.0 in doubles; such weights are floored, not lost
+        log_w = np.array([0.0, -1000.0, -2000.0, -3000.0])
+        for r in picks_by_row([log_w], np.zeros(50, dtype=np.int64), np.full(50, 4), seed=9):
+            assert sorted(r.tolist()) == [0, 1, 2, 3]
 
-    def test_equal_keys_pick_in_column_order(self):
-        rng = ScriptedRng([0.5] * 100)
-        picks = _gumbel_top_m(rng, np.zeros(50), np.array([3, 50]))
-        assert picks.tolist() == [0, 1, 2] + list(range(50))
+    def test_draw_rounding_up_to_the_next_group_stays_in_its_group(self):
+        # group 1's draw 1 + u rounds to 2.0, the start of group 2's CDF
+        u = 1.0 - 2.0 ** -53
+        assert 1.0 + u == 2.0
+        rows, picks = _successive_picks(ScriptedRng([u]), [np.zeros(3)] * 3,
+                                        np.array([1]), np.array([1]))
+        assert rows.tolist() == [0] and picks.tolist() == [5]
+
+    def test_extreme_weights_finish(self, tmp_path):
+        # Zipf exponent 10 over pools of 3 or 4 hashtags: most rows want
+        # hashtags of relative weight 1e-10 and less, which redraws alone
+        # would take about 1e10 tries to reach
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys; from hashscope.cli import main; sys.exit(main())",
+             "synth", "--seed", "1", "--users", "100", "--hashtags", "30", "--periodic", "0",
+             "--rising", "0", "--stable", "0", "--meteor", "0", "--drifted", "0",
+             "--communities", "8", "--zipf-exponent", "10", "--posts", "2000",
+             "--out", str(tmp_path / "corpus.jsonl")],
+            capture_output=True, text=True, env=cli_env(), timeout=60)
+        assert out.returncode == 0, out.stderr
+

@@ -31,43 +31,27 @@ from . import social as social_mod
 from . import spatial as spatial_mod
 from . import temporal as temporal_mod
 
-# config keys understood in config files and mirrored by flags
-KEY_TYPES = {
-    "seed": int,
-    "top_k": int,
-    # synthetic generation
-    "users": int, "hashtags": int, "posts": int, "years_span": int,
-    "periodic": int, "rising": int, "stable": int, "meteor": int,
-    "communities": int, "drifted": int,
-    "homophily": float, "located_rate": float, "zipf_exponent": float,
-    # temporal clustering
-    "k_min": int, "k_max": int, "restarts": int,
-    "bucket_start_year": int, "bucket_end_year": int,
-    # per-year embedding training
-    "dimension": int, "window": int, "epochs": int, "negatives": int,
-    "learning_rate": float, "min_count": int, "batch_size": int,
-    "years": str,
-    # friendship prediction
-    "walk_times": int, "walk_length": int, "profile_dim": int,
-    "context_radius": int, "social_epochs": int, "social_negatives": int,
-    # spatial
-    "categories_top_n": int,
-}
-
+# config keys understood in config files and mirrored by flags; each key's
+# value is parsed with its default's type
 DEFAULTS = {
     "seed": 0,
     "top_k": 1000,
+    # synthetic generation
     "users": 300, "hashtags": 185, "posts": 30000, "years_span": 4,
     "periodic": 30, "rising": 90, "stable": 40, "meteor": 15,
     "communities": 8, "drifted": 10,
     "homophily": 0.6, "located_rate": 0.5, "zipf_exponent": 0.7,
+    # temporal clustering
     "k_min": 2, "k_max": 8, "restarts": 10,
     "bucket_start_year": 2012, "bucket_end_year": 2015,
+    # per-year embedding training
     "dimension": 100, "window": 30, "epochs": 5, "negatives": 5,
     "learning_rate": 0.025, "min_count": 2, "batch_size": 1024,
     "years": "",
+    # friendship prediction
     "walk_times": 10, "walk_length": 40, "profile_dim": 64,
     "context_radius": 10, "social_epochs": 5, "social_negatives": 5,
+    # spatial
     "categories_top_n": 10,
 }
 
@@ -85,10 +69,10 @@ def parse_config_file(path: str | Path) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in KEY_TYPES:
+            if key not in DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                out[key] = KEY_TYPES[key](value)
+                out[key] = type(DEFAULTS[key])(value)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: bad value {value!r} for {key}"
@@ -99,7 +83,7 @@ def parse_config_file(path: str | Path) -> dict:
 def _add_key_flags(parser: argparse.ArgumentParser, keys: list[str]) -> None:
     for key in keys:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                            type=KEY_TYPES[key], default=None)
+                            type=type(DEFAULTS[key]), default=None)
 
 
 def _add_common(parser: argparse.ArgumentParser, needs_input: bool) -> None:
@@ -155,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("all", help="run every pipeline")
     _add_common(p, needs_input=True)
-    _add_key_flags(p, [k for k in KEY_TYPES if k != "seed"])
+    _add_key_flags(p, [k for k in DEFAULTS if k != "seed"])
     return parser
 
 
@@ -163,7 +147,7 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
-    for key in KEY_TYPES:
+    for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value

@@ -11,8 +11,9 @@ number of context slots or skip-gram pairs.  Each group of
 negatives, so every example is still scored against k negatives while a
 group is scored, and its negatives updated, by dense products.
 Training is mini-batched numpy SGD: gradients within a batch are computed at
-the batch's starting parameters, and scatter-adds apply every pair's update,
-so results are bit-reproducible for a fixed seed.  The context sums and
+the batch's starting parameters, and scatter-adds apply every pair's update
+straight onto the matrices, so a step touches only the rows its batch names
+and results are bit-reproducible for a fixed seed.  The context sums and
 scatter-adds call scipy's compiled CSR/CSC kernels on the batch's index
 arrays directly, and the output-side update adds each target's term, then
 each group's summed negative rows, in two passes instead of building the
@@ -315,10 +316,14 @@ def _step(w_in, w_out, targets, indptr, indices, negs, lr):
     coefficient.  The hidden rows sit in a (len(negs), G, d) buffer padded
     with +0.0, whose padding adds only signed zeros, and a group's scores,
     gradient term and summed negative updates are one matrix product each.
-    Every update accumulates onto a zeroed buffer that is then added to the
-    matrix once, so each row sums its terms in the order a sequential
-    scatter-add would: on the output side, each target's term ``-lr * g * h``
-    in batch order, then each negative's group sum in (group, k) order.
+    Every update is added straight onto its matrix, so each row adds its
+    terms onto itself in the order a sequential scatter-add would: on the
+    output side, each target's term ``-lr * g * h`` in batch order, then each
+    negative's group sum in (group, k) order.  Gradients are still those at
+    the batch's starting parameters: ``h``, ``wt`` and ``wn`` are copies made
+    before the first write, and ``grad_h``, the coefficients and ``sums`` are
+    computed from them.  No vocabulary-sized buffer is made, so a step's
+    memory and time follow the batch.
     """
     lr = np.float32(lr)
     b = len(targets)
@@ -342,17 +347,13 @@ def _step(w_in, w_out, targets, indptr, indices, negs, lr):
     if mean:
         grad_h /= counts
     grad_h *= -lr
-    acc = np.zeros_like(w_in)
-    _matvecs("csc", indptr, indices, ones, grad_h, acc)
-    w_in += acc
+    _matvecs("csc", indptr, indices, ones, grad_h, w_in)
     g_pos *= -lr
     g_neg *= -lr
-    acc = np.zeros_like(w_out)
-    _matvecs("csc", np.arange(b + 1, dtype=np.int32), targets, g_pos, h, acc)
+    _matvecs("csc", np.arange(b + 1, dtype=np.int32), targets, g_pos, h, w_out)
     sums = np.matmul(g_neg.transpose(0, 2, 1), h_groups).reshape(-1, d)
     _matvecs("csc", np.arange(len(sums) + 1, dtype=np.int32), negs.ravel(),
-             np.ones(len(sums), dtype=np.float32), sums, acc)
-    w_out += acc
+             np.ones(len(sums), dtype=np.float32), sums, w_out)
 
 
 def _pin_malloc_thresholds() -> None:

@@ -3,6 +3,7 @@ import math
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,9 +159,7 @@ class TestGradients:
 
 
 def dense_scatter_add(matrix, rows, grads):
-    tmp = np.zeros_like(matrix)
-    np.add.at(tmp, rows, grads)
-    matrix += tmp
+    np.add.at(matrix, rows, grads)
 
 
 def csr_rows(ctx):
@@ -733,6 +732,24 @@ print(json.dumps({"rise": (after - before) * 1024, "matrix": n * 41 * 20 * 4}))
         small, large = runs
         assert large["rise"] < large["matrix"], runs
         assert large["rise"] - small["rise"] < large["matrix"] - small["matrix"], runs
+
+    def test_step_memory_follows_the_batch(self):
+        # a batch of 64 against a 100 000-row vocabulary: a step scatters
+        # onto the rows its batch names, so its transients are batch-sized;
+        # one zeroed V x d buffer alone would be four times the bound.  The
+        # first step loads the sparse kernels outside the measured one
+        vocab, dim = 100_000, 8
+        w_in, w_out, targets, ctx, negs = cbow_batch(np.random.default_rng(0),
+                                                     vocab, dim, 64, 4, 5)
+        batch = (targets, *csr_rows(ctx), negs, 0.3)
+        _step(w_in, w_out, *batch)
+        tracemalloc.start()
+        try:
+            _step(w_in, w_out, *batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vocab * dim * 4 / 4, peak
 
     def test_empty_after_encoding_rejected(self):
         cfg = TrainConfig(dimension=4)

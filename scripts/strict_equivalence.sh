@@ -21,14 +21,17 @@
 #     two full ones;
 #   - wide: the wide-cli corpus shape: synth --seed 1 --users 1000
 #     --hashtags 3000 --posts 40000, then stats, temporal --top-k 2000 and
-#     spatial, each --strict, on that corpus; then the same three on the
-#     corpus converted to CSV by perfbench's jsonl_to_csv (the benchmark's
-#     own conversion, read from the working tree), so that the CSV reader is
-#     diffed too; then synth once more at that shape with --communities 1
-#     --drifted 0, where the whole 3000-hashtag pool is one community's
-#     pool; then the 10x synth, --posts 300000 --users 3000 --hashtags 1850,
-#     where the generator collects the most (post, hashtag) pairs and
-#     save_corpus writes more than one block of posts.
+#     spatial, each --strict, on that corpus, and temporal once more with
+#     --top-k 3000 --k-max 10 --restarts 20, which clusters every hashtag,
+#     at every k up to 10, with twice the default restarts; then stats,
+#     temporal --top-k 2000 and spatial on the corpus converted to CSV by
+#     perfbench's jsonl_to_csv (the benchmark's own conversion, read from
+#     the working tree), so that the CSV reader is diffed too; then synth
+#     once more at that shape with --communities 1 --drifted 0, where the
+#     whole 3000-hashtag pool is one community's pool; then the 10x synth,
+#     --posts 300000 --users 3000 --hashtags 1850, where the generator
+#     collects the most (post, hashtag) pairs and save_corpus writes more
+#     than one block of posts.
 # The working tree is also rerun three more times:
 #   - everything with OPENBLAS_NUM_THREADS=2: hashscope pins OpenBLAS to one
 #     thread whatever the caller sets, and --strict output must not depend on
@@ -36,10 +39,11 @@
 #   - demo on one CPU (taskset -c 0), where `all` computes drift in-process
 #     instead of in its forked worker;
 #   - the reader pass: every --input command above (the demo's all --input,
-#     drift and social runs, and the wide stats, temporal and spatial runs on
-#     the JSONL and the CSV) on copies of the files that PARENT_REF's run
-#     generated, so that a change that moves the generator's corpora can
-#     still show that nothing downstream of them moved.
+#     drift and social runs, the wide stats, both temporal and spatial runs
+#     on the JSONL, and the stats, temporal and spatial runs on the CSV) on
+#     copies of the files that PARENT_REF's run generated, so that a change
+#     that moves the generator's corpora can still show that nothing
+#     downstream of them moved.
 # The working tree's src/ is copied at the start and every working-tree pass
 # runs from that copy, so an edit saved during the run cannot mix two versions.
 # Every command's artifacts, manifest, stdout, stderr and exit code are kept,
@@ -98,6 +102,8 @@ wide_inputs() {
     local input=(--input wide/corpus.jsonl --seed 1 --strict)
     hashscope "$1" stats stats "${input[@]}" --out wide-stats
     hashscope "$1" temporal temporal "${input[@]}" --top-k 2000 --out wide-temporal
+    hashscope "$1" temporal-all-k temporal "${input[@]}" --top-k 3000 --k-max 10 \
+        --restarts 20 --out wide-temporal-all-k
     hashscope "$1" spatial spatial "${input[@]}" \
         --locations wide/corpus.jsonl.locations.csv --out wide-spatial
     input=(--input wide/corpus.csv --format csv --seed 1 --strict)

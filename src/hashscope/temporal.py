@@ -9,7 +9,10 @@ Distances run on BLAS Gram products.  k-means screens each assignment with
 ``|c|^2 - 2<c, x>`` and decides again from exact distances wherever rounding
 could decide differently, so its results are bit-identical to an argmin over
 exact distances; the silhouette takes its distances from the Gram form and
-recomputes the pairs where that form cancels.
+recomputes the pairs where that form cancels.  An exact squared distance is
+numpy's own pairwise sum over a C-contiguous row of squared differences, so
+it has the bits of ``((a[:, None] - b) ** 2).sum(-1)``; k-means sums its
+centroids with one ``np.bincount`` per feature.
 """
 
 from __future__ import annotations
@@ -124,47 +127,13 @@ def standardize(points: np.ndarray) -> np.ndarray:
     return (points - mean) / std
 
 
-def _sq_distances(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the columns of two feature-major
-    operands: ``a_t`` is features x m, ``b_t`` features x n, the result m x n.
-
-    One m x n term is built per feature, and the terms are added in the
-    order numpy's pairwise ``sum`` uses over a contiguous axis of up to 128
-    values: in sequence below 8 terms; otherwise 8 partial sums, each later
-    full group of 8 terms added into them, combined as a tree, then the
-    remainder in sequence.  So the result has the bits of
-    ``((a[:, None] - b) ** 2).sum(-1)`` for ``a = a_t.T`` and ``b = b_t.T``,
-    without that expression's m x n x features tensor.
-    """
-    return _feature_sum((np.square(a[:, None] - b) for a, b in zip(a_t, b_t)), len(a_t))
-
-
-def _feature_sum(terms, count: int) -> np.ndarray:
-    """The sum of the ``count`` equal-shape arrays that ``terms`` yields, one
-    per feature, added in ``_sq_distances``' order; the yielded arrays may
-    be summed into in place."""
-    if count < 8:
-        total = next(terms)
-    else:
-        p = [next(terms) for _ in range(8)]
-        for _ in range(count // 8 - 1):
-            for partial in p:
-                partial += next(terms)
-        # ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)), in place
-        for i, j in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            p[i] += p[j]
-        total = p[0]
-    for term in terms:
-        total += term
-    return total
-
-
-def _kmeans_pp_init(points: np.ndarray, points_t: np.ndarray, k: int,
-                    rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator,
+                    work: np.ndarray) -> np.ndarray:
     n = len(points)
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    d2 = _sq_distances(centroids[:1].T, points_t)[0]
+    diff = np.subtract(points, centroids[0], out=work)
+    d2 = np.square(diff, out=diff).sum(-1)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -172,31 +141,33 @@ def _kmeans_pp_init(points: np.ndarray, points_t: np.ndarray, k: int,
             continue
         r = rng.random() * total
         centroids[i] = points[np.searchsorted(np.cumsum(d2), r)]
-        d2 = np.minimum(d2, _sq_distances(centroids[i:i + 1].T, points_t)[0])
+        diff = np.subtract(points, centroids[i], out=work)
+        d2 = np.minimum(d2, np.square(diff, out=diff).sum(-1))
     return centroids
 
 
-def _assign(centroids: np.ndarray, points_t: np.ndarray,
-            norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _assign(centroids: np.ndarray, points: np.ndarray, points_t: np.ndarray,
+            norms: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each point's nearest centroid and its squared distance to it, with the
-    bits of ``d2.argmin(axis=0)`` and ``d2[argmin, arange(n)]`` for
-    ``d2 = _sq_distances(centroids.T, points_t)``; ``norms`` holds each
-    point's Euclidean norm.
+    bits of ``d2.argmin(axis=1)`` and ``d2[arange(n), argmin]`` for
+    ``d2 = np.square(points[:, None] - centroids).sum(-1)``; ``points`` is
+    C-contiguous, ``points_t`` its transpose, also C-contiguous, ``norms``
+    each point's Euclidean norm and ``work`` an n x f scratch array.
 
     The assignment is screened with one BLAS product: for a point x and
     centroid c, ``|c|^2 - 2<c, x>`` is their squared distance less
     ``|x|^2``, which no argmin over centroids depends on.  That estimate and
-    the exact ``_sq_distances`` value each lie within about
-    ``(f + 2) 2**-53 (|x| + |c|)^2`` of the true distance for f features, so
-    where the two lowest estimates of a point differ by more than
-    ``4 (f + 2) 2**-53 (|x| + max|c|)^2``, the lowest is the exact argmin,
-    and that argmin is unique.  The margin is that bound times
-    SCREEN_SAFETY.  Every point within it takes the exact ``_sq_distances``
-    argmin, which resolves ties to the lowest centroid index.  The own
-    distances are exact: one features x n array of squared differences,
-    summed over features in ``_sq_distances``' order.
+    the exact value (numpy's pairwise sum over a contiguous row of squared
+    differences) each lie within about ``(f + 2) 2**-53 (|x| + |c|)^2`` of
+    the true distance for f features, so where the two lowest estimates of a
+    point differ by more than ``4 (f + 2) 2**-53 (|x| + max|c|)^2``, the
+    lowest is the exact argmin, and that argmin is unique.  The margin is
+    that bound times SCREEN_SAFETY.  Every point within it takes the argmin
+    of its exact distances, which resolves ties to the lowest centroid
+    index.  The own distances are exact too: each point's row of squared
+    differences from its centroid, built in ``work`` and summed by numpy.
     """
-    f, n = points_t.shape
+    n, f = points.shape
     cols = np.arange(n)
     sq_c = np.square(centroids).sum(axis=1)
     est = (-2.0 * centroids) @ points_t
@@ -207,9 +178,11 @@ def _assign(centroids: np.ndarray, points_t: np.ndarray,
     margin = SCREEN_SAFETY * 4 * (f + 2) * 2.0 ** -53 * np.square(norms + np.sqrt(sq_c.max()))
     unsure = np.flatnonzero(est.min(axis=0) - lowest <= margin)
     if len(unsure):
-        assignment[unsure] = _sq_distances(centroids.T, points_t[:, unsure]).argmin(axis=0)
-    diff = points_t - centroids.T[:, assignment]
-    return assignment, _feature_sum(iter(np.square(diff, out=diff)), f)
+        assignment[unsure] = np.square(points[unsure, None] - centroids).sum(-1).argmin(axis=1)
+    # mode="clip" fills ``work`` directly; "raise" would buffer a copy
+    diff = np.subtract(points, np.take(centroids, assignment, axis=0, out=work, mode="clip"),
+                       out=work)
+    return assignment, np.square(diff, out=diff).sum(-1)
 
 
 @dataclass
@@ -230,28 +203,35 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> KM
     An empty cluster is repaired by reseeding its centroid at the point
     farthest from its assigned centroid; the within-cluster SSE is checked
     to be non-increasing on every iteration.  A centroid is the mean of its
-    members, summed in point order as ``members.mean(axis=0)`` sums them.
+    members, summed in point order as ``members.mean(axis=0)`` sums them:
+    one ``np.bincount`` per feature adds each cluster's values in sequence.
 
     Each step assigns the points through ``_assign``, whose results have
-    the bits of an argmin over ``_sq_distances`` rows.
+    the bits of an argmin over ``np.square(points[:, None] -
+    centroids).sum(-1)``.
     """
-    points = np.asarray(points, dtype=np.float64)
+    # numpy sums a contiguous last axis pairwise but a strided one in
+    # sequence: C order gives every exact distance below the same bits
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
         raise ValueError("points must be a non-empty 2-D array")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n, f = points.shape
+    n = len(points)
     if k > n:
         raise ValueError(f"k={k} exceeds number of points {n}")
     points_t = np.ascontiguousarray(points.T)
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(points, points_t, k, rng)
+    # one n x f scratch array serves the seeding and every own distance: a
+    # fresh one per call would be paged in anew whenever glibc trims its heap
+    work = np.empty_like(points)
+    centroids = _kmeans_pp_init(points, k, rng, work)
     assignment = np.zeros(n, dtype=np.int64)
     sse_history: list[float] = []
     repairs = 0
     norms = np.sqrt(np.square(points).sum(axis=1))
     for _ in range(max_iter):
-        new_assignment, dist_own = _assign(centroids, points_t, norms)
+        new_assignment, dist_own = _assign(centroids, points, points_t, norms, work)
         sizes = np.bincount(new_assignment, minlength=k)
         if not sizes.all():
             # a repair can empty the cluster it takes its point from
@@ -272,9 +252,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> KM
         sse_history.append(sse)
         converged = (new_assignment == assignment).all() and len(sse_history) > 1
         assignment = new_assignment
-        # value j of a point in cluster c goes to bin c * f + j
-        sums = np.bincount((assignment[:, None] * f + np.arange(f)).ravel(),
-                           weights=points.ravel(), minlength=k * f).reshape(k, f)
+        sums = np.column_stack([np.bincount(assignment, weights=x, minlength=k)
+                                for x in points_t])
         filled = sizes > 0
         centroids[filled] = sums[filled] / sizes[filled, None]
         if converged:
@@ -304,7 +283,9 @@ def silhouette(points: np.ndarray, assignments) -> list[float]:
     product of the distances with a 0/1 membership matrix, a column per
     cluster of every assignment, then gives every cluster's distance sum.
     """
-    points = np.asarray(points, dtype=np.float64)
+    # numpy sums a contiguous last axis pairwise but a strided one in
+    # sequence: C order gives the recomputed distances the same bits
+    points = np.ascontiguousarray(points, dtype=np.float64)
     n = len(points)
     points_t = np.ascontiguousarray(points.T)
     # each assignment's clusters get membership columns from starts[t] on;
@@ -338,8 +319,7 @@ def silhouette(points: np.ndarray, assignments) -> list[float]:
         d2 += scale
         scale *= SILHOUETTE_ZONE
         near_i, near_j = np.nonzero(d2 <= scale)
-        d2[near_i, near_j] = _feature_sum(
-            (np.square(a[start + near_i] - a[near_j]) for a in points_t), len(points_t))
+        d2[near_i, near_j] = np.square(points[start + near_i] - points[near_j]).sum(-1)
         sums = np.sqrt(d2, out=d2) @ member
         # a: mean distance to the rest of the own cluster; b: the least mean
         # distance to another cluster; points in singletons score 0

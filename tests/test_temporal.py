@@ -17,7 +17,6 @@ from hashscope.temporal import (
     _assign,
     _block_rows,
     _series_stats,
-    _sq_distances,
 )
 
 
@@ -123,24 +122,46 @@ class TestStackedFeaturesMatchReference:
 
 
 class TestSqDistances:
-    @pytest.mark.parametrize("n_features", [1, 2, 7, 8, 9, 13, 15, 16, 17, 24, 40])
-    def test_matches_numpy_sum(self, n_features):
-        rng = np.random.default_rng(n_features)
+    """Every exact squared distance is numpy's own sum over a C-contiguous
+    row of squared differences, whatever the layout of the input."""
+
+    @staticmethod
+    def spread_points(rng, n, n_features):
         # magnitudes spread over six decades, so a changed summation order
         # shows in the last bits
         scale = 10.0 ** rng.uniform(-3, 3, n_features)
-        a = rng.normal(size=(6, n_features)) * scale
-        b = rng.normal(size=(300, n_features)) * scale
-        expected = ((a[:, None] - b) ** 2).sum(-1)
-        got = _sq_distances(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
-        assert got.shape == (6, 300)
-        assert np.array_equal(got, expected)
+        return rng.normal(size=(n, n_features)) * scale
+
+    @pytest.mark.parametrize("n_features", [1, 2, 7, 8, 9, 13, 15, 16, 17, 24, 40])
+    def test_matches_numpy_sum(self, n_features):
+        rng = np.random.default_rng(n_features)
+        a = self.spread_points(rng, 6, n_features)
+        b = self.spread_points(rng, 300, n_features)
+        expected = ((b[:, None] - a) ** 2).sum(-1)
+        nearest = expected.argmin(axis=1)
+        assignment, own = _assign(a, b, np.ascontiguousarray(b.T),
+                                  np.sqrt(np.square(b).sum(axis=1)), np.empty_like(b))
+        assert np.array_equal(assignment, nearest)
+        assert own.tobytes() == expected[np.arange(300), nearest].tobytes()
 
     def test_strided_operands(self):
-        rng = np.random.default_rng(33)
-        a = rng.normal(size=(4, 13))
-        b = rng.normal(size=(50, 13))
-        assert np.array_equal(_sq_distances(a.T, b.T), ((a[:, None] - b) ** 2).sum(-1))
+        # C-ordered, Fortran-ordered and column-strided copies of one point set
+        points = self.spread_points(np.random.default_rng(13), 300, 13)
+        wide = np.zeros((300, 26))
+        wide[:, ::2] = points
+        layouts = [points, np.asfortranarray(points), wide[:, ::2]]
+        for k in (2, 5, 9):
+            runs = [kmeans(p, k, seed=k) for p in layouts]
+            for run in runs[1:]:
+                assert run.assignment.tobytes() == runs[0].assignment.tobytes()
+                assert run.centroids.tobytes() == runs[0].centroids.tobytes()
+                assert (np.array(run.sse_history).tobytes()
+                        == np.array(runs[0].sse_history).tobytes())
+                assert run.repairs == runs[0].repairs
+        assignments = random_assignments(np.random.default_rng(14), 300, range(2, 11))
+        scores = [silhouette(p, assignments) for p in layouts]
+        for score in scores[1:]:
+            assert np.array(score).tobytes() == np.array(scores[0]).tobytes()
 
 
 class TestKMeans:
@@ -269,23 +290,33 @@ class TestKMeansMatchesReference:
 class TestAssignScreening:
     """Inputs where the Gram estimate ``|c|^2 - 2<c, x>`` decides least
     reliably; the assignment and own distances must still have the bits of
-    ``_sq_distances``."""
+    ``np.square(points[:, None] - centroids).sum(-1)``."""
 
     def assert_exact(self, centroids, points, monkeypatch):
         rechecked = []
 
-        def spy(a_t, b_t):
-            rechecked.append(b_t.shape[1])
-            return _sq_distances(a_t, b_t)
+        class SpyNumpy:
+            """numpy as ``temporal`` sees it, counting the points of each
+            exact recheck: the only square it takes of a points x centroids
+            x features array."""
 
-        monkeypatch.setattr(temporal, "_sq_distances", spy)
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def square(self, x, *args, **kwargs):
+                if np.ndim(x) == 3:
+                    rechecked.append(len(x))
+                return np.square(x, *args, **kwargs)
+
+        monkeypatch.setattr(temporal, "np", SpyNumpy())
         points_t = np.ascontiguousarray(points.T)
         norms = np.sqrt(np.square(points).sum(axis=1))
-        assignment, dist_own = _assign(centroids, points_t, norms)
-        d2 = _sq_distances(centroids.T, points_t)
-        expected = d2.argmin(axis=0)
+        assignment, dist_own = _assign(centroids, points, points_t, norms,
+                                       np.empty_like(points))
+        d2 = np.square(points[:, None] - centroids).sum(-1)
+        expected = d2.argmin(axis=1)
         assert np.array_equal(assignment, expected)
-        assert dist_own.tobytes() == d2[expected, np.arange(len(points))].tobytes()
+        assert dist_own.tobytes() == d2[np.arange(len(points)), expected].tobytes()
         return sum(rechecked)
 
     @pytest.mark.parametrize("n_features", [2, 13])

@@ -28,7 +28,10 @@
 #     perfbench's jsonl_to_csv (the benchmark's own conversion, read from
 #     the working tree), so that the CSV reader is diffed too; then synth
 #     once more at that shape with --communities 1 --drifted 0, where the
-#     whole 3000-hashtag pool is one community's pool; then the 10x synth,
+#     whole 3000-hashtag pool is one community's pool; then synth at that
+#     shape with --located-rate 0, where no post is located, no post's
+#     hashtag rate is adjusted by its location and no locations file is
+#     written; then the 10x synth,
 #     --posts 300000 --users 3000 --hashtags 1850, where the generator
 #     collects the most (post, hashtag) pairs and save_corpus writes more
 #     than one block of posts.
@@ -139,6 +142,9 @@ jsonl_to_csv(Path(sys.argv[1]), Path(sys.argv[2]))' wide/corpus.jsonl wide/corpu
         hashscope "$1" synth-one-community synth --seed 1 --users 1000 \
             --hashtags 3000 --posts 40000 --communities 1 --drifted 0 --strict \
             --out one-community/corpus.jsonl
+        hashscope "$1" synth-no-location synth --seed 1 --users 1000 \
+            --hashtags 3000 --posts 40000 --located-rate 0 --strict \
+            --out no-location/corpus.jsonl
         hashscope "$1" synth-10x synth --seed 1 --users 3000 --hashtags 1850 \
             --posts 300000 --strict --out 10x/corpus.jsonl
     )
@@ -187,7 +193,7 @@ compare "OPENBLAS_NUM_THREADS=2" "$work/change" "$work/change-2threads"
 compare "one CPU" "$work/change/demo" "$work/change-1cpu/demo"
 # the reader pass has only the --input outputs: leave out what generated
 compare "reader pass, demo" -x all -x 'all.*' "$work/parent/demo" "$work/reader/demo"
-compare "reader pass, wide" -x wide -x 'synth*' -x one-community -x 10x \
+compare "reader pass, wide" -x wide -x 'synth*' -x one-community -x no-location -x 10x \
     "$work/parent/wide" "$work/reader/wide"
 if [ "$status" -eq 0 ]; then
     echo "no differences"

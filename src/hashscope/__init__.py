@@ -12,45 +12,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
 
-from .corpus import (
-    Corpus,
-    CorpusFormatError,
-    PostRecord,
-    QuarterBucket,
-    bucket_share_series,
-    load_corpus,
-    save_corpus,
-    top_k_hashtags,
-)
-from .embedding import (
-    EmbeddingTable,
-    TrainConfig,
-    Vocabulary,
-    build_vocab,
-    cosine_distance,
-    nearest_neighbors,
-    train,
-)
-from .synth import SyntheticSpec, SynthesisError, generate_synthetic
+from .embedding import TrainConfig
+from .synth import SyntheticSpec, generate_synthetic
 
-__all__ = [
-    "Corpus",
-    "CorpusFormatError",
-    "PostRecord",
-    "QuarterBucket",
-    "bucket_share_series",
-    "load_corpus",
-    "save_corpus",
-    "top_k_hashtags",
-    "EmbeddingTable",
-    "TrainConfig",
-    "Vocabulary",
-    "build_vocab",
-    "cosine_distance",
-    "nearest_neighbors",
-    "train",
-    "SyntheticSpec",
-    "SynthesisError",
-    "generate_synthetic",
-    "__version__",
-]
+__all__ = ["SyntheticSpec", "generate_synthetic", "TrainConfig", "__version__"]

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import math
 import os
 import sys
@@ -151,6 +150,10 @@ def skipgram_pair_loss(center_vec, context_vec, neg_vecs):
 
 
 def _token_seed(seed: int, token: str) -> int:
+    # imported here, not at the top: hashlib maps OpenSSL's libcrypto (about
+    # 3.6 MB of resident memory), which only the commands that train need
+    import hashlib
+
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | int.from_bytes(digest, "little")
 

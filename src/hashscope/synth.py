@@ -321,14 +321,13 @@ def _sample_distinct_pair(rng: np.random.Generator, pool: np.ndarray) -> tuple[i
             return a, b
 
 
-def _sample_friendships(spec: SyntheticSpec, rng: np.random.Generator,
-                        user_comm: np.ndarray) -> set[tuple[str, str]]:
+def _sample_friendships(spec: SyntheticSpec, rng: np.random.Generator) -> set[tuple[str, str]]:
     names = spec.user_names()
     target = int(round(spec.users * spec.friends_per_user / 2))
     max_pairs = spec.users * (spec.users - 1) // 2
     if target > max_pairs:
         raise SynthesisError(f"cannot place {target} friendships among {spec.users} users")
-    members = [np.flatnonzero(user_comm == c) for c in range(spec.n_communities)]
+    members = [np.arange(c, spec.users, spec.n_communities) for c in range(spec.n_communities)]
     everyone = np.arange(spec.users)
     pairs: set[tuple[str, str]] = set()
     attempts = 0
@@ -399,6 +398,60 @@ def _pool_pairs(spec: SyntheticSpec, rng: np.random.Generator, post_comm: np.nda
     return np.concatenate(posts)[rows], chosen
 
 
+def _draw_posts(spec: SyntheticSpec, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Every draw of the posts, in generation order: each post's user, time
+    and location index (-1 for none), then its hashtags as flat (post,
+    hashtag) arrays, hashtags indexing ``spec.all_tags()``, repeats allowed."""
+    n, n_comm = spec.posts, spec.n_communities
+    n_pool = spec.hashtags - spec.drifted
+    start_ts = int(datetime(spec.start_year, 1, 1, tzinfo=timezone.utc).timestamp())
+    end_ts = int(datetime(spec.start_year + spec.years, 1, 1, tzinfo=timezone.utc).timestamp())
+
+    post_user = rng.integers(0, spec.users, n)
+    post_ts = rng.integers(start_ts, end_ts, n)
+    months = (post_ts.astype("datetime64[s]").astype("datetime64[M]")
+              - np.datetime64(f"{spec.start_year}-01", "M")).astype(int)
+    post_comm = post_user % n_comm  # user u is in community u % n_comm
+
+    # hashtag adoption; optionally growing over time, suppressed at some
+    # categories of location, whose popularity decays linearly with rank
+    if spec.adoption_growth:
+        frac = (post_ts - start_ts) / max(end_ts - start_ts, 1)
+        p_tags = ADOPTION_START + (ADOPTION_END - ADOPTION_START) * frac
+    else:
+        p_tags = np.full(n, 1.0 - spec.no_hashtag_rate)
+    post_loc_idx = np.full(n, -1)
+    if spec.located_rate > 0:
+        located = rng.random(n) < spec.located_rate
+        cat_w = np.arange(len(CATEGORIES), 0, -1).astype(float)
+        cats = rng.choice(len(CATEGORIES), size=int(located.sum()), p=cat_w / cat_w.sum())
+        post_loc_idx[located] = cats * LOCATIONS_PER_CATEGORY + rng.integers(
+            0, LOCATIONS_PER_CATEGORY, len(cats)
+        )
+        p_tags[located] = np.clip(p_tags[located] * np.array(CATEGORY_TAG_RATES)[cats], 0.0, 1.0)
+    has_tags = rng.random(n) < p_tags
+
+    sizes = np.zeros(n, dtype=np.int64)
+    tagged = np.flatnonzero(has_tags)
+    sizes[tagged] = 1 + rng.poisson(spec.mean_extra_tags, len(tagged))
+    sizes = np.minimum(sizes, min(MAX_HASHTAGS_PER_POST - 2, n_pool))
+    m_comm = rng.binomial(sizes, spec.community_mix) if n_comm > 1 else sizes
+    pairs = [_pool_pairs(spec, rng, post_comm, months // 3, m_comm, sizes - m_comm)]
+
+    # drifted-hashtag injection: owner-dominated, community-bound per period
+    before = months < 12 * (spec.effective_drift_year - spec.start_year)
+    user_index = {u: i for i, u in enumerate(spec.user_names())}
+    for d, tag in enumerate(spec.drifted_tags()):
+        comm_b, comm_a = spec.drift_communities(tag)
+        owner_b, owner_a = (user_index[u] for u in spec.drift_owners(tag))
+        is_owner = np.where(before, post_user == owner_b, post_user == owner_a)
+        in_comm = np.where(before, post_comm == comm_b, post_comm == comm_a)
+        p = np.where(is_owner, DRIFT_OWNER_RATE, np.where(in_comm, DRIFT_COMM_RATE, 0.0))
+        hits = np.flatnonzero(has_tags & (rng.random(n) < p))
+        pairs.append((hits, np.full(len(hits), n_pool + d)))
+    return (post_user, post_ts, post_loc_idx, *map(np.concatenate, zip(*pairs)))
+
+
 def generate_synthetic(spec: SyntheticSpec) -> Corpus:
     """Generate a corpus realizing the spec's planted structure.
 
@@ -407,95 +460,18 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
+    post_user, post_ts, post_loc_idx, pair_posts, pair_tags = _draw_posts(spec, rng)
 
-    n_pool = spec.hashtags - spec.drifted
-    n_comm = spec.n_communities
-
-    start_ts = int(datetime(spec.start_year, 1, 1, tzinfo=timezone.utc).timestamp())
-    end_ts = int(datetime(spec.start_year + spec.years, 1, 1, tzinfo=timezone.utc).timestamp())
-
-    n = spec.posts
-    post_user = rng.integers(0, spec.users, n)
-    post_ts = rng.integers(start_ts, end_ts, n)
-    months = (post_ts.astype("datetime64[s]").astype("datetime64[M]")
-              - np.datetime64(f"{spec.start_year}-01", "M")).astype(int)
-    post_quarter = months // 3
-    post_year = spec.start_year + months // 12
-    user_comm_all = np.arange(spec.users) % n_comm
-    post_comm = user_comm_all[post_user]
-
-    # location assignment; category popularity decays linearly with rank
-    n_cat = len(CATEGORIES)
-    post_cat = np.full(n, -1)
-    post_loc_idx = np.full(n, -1)
-    if spec.located_rate > 0:
-        located = rng.random(n) < spec.located_rate
-        cat_w = np.arange(n_cat, 0, -1).astype(float)
-        cat_w /= cat_w.sum()
-        cats = rng.choice(n_cat, size=int(located.sum()), p=cat_w)
-        post_cat[located] = cats
-        post_loc_idx[located] = cats * LOCATIONS_PER_CATEGORY + rng.integers(
-            0, LOCATIONS_PER_CATEGORY, len(cats)
-        )
-
-    # hashtag adoption; optionally growing over time, suppressed at some categories
-    if spec.adoption_growth:
-        frac = (post_ts - start_ts) / max(end_ts - start_ts, 1)
-        p_tags = ADOPTION_START + (ADOPTION_END - ADOPTION_START) * frac
-    else:
-        p_tags = np.full(n, 1.0 - spec.no_hashtag_rate)
-    if spec.located_rate > 0:
-        rates = np.array(CATEGORY_TAG_RATES)
-        mask = post_cat >= 0
-        p_tags = p_tags.copy()
-        p_tags[mask] = np.clip(p_tags[mask] * rates[post_cat[mask]], 0.0, 1.0)
-    has_tags = rng.random(n) < p_tags
-
-    sizes = np.zeros(n, dtype=np.int64)
-    tagged = np.flatnonzero(has_tags)
-    sizes[tagged] = 1 + rng.poisson(spec.mean_extra_tags, len(tagged))
-    sizes = np.minimum(sizes, min(MAX_HASHTAGS_PER_POST - 2, n_pool))
-
-    if n_comm > 1:
-        m_comm = rng.binomial(sizes, spec.community_mix)
-    else:
-        m_comm = sizes.copy()
-    m_glob = sizes - m_comm
-
-    # each draw's (posts, hashtags) arrays, one entry per (post, hashtag) pair;
-    # hashtags index spec.all_tags(), repeats allowed
-    pairs = [_pool_pairs(spec, rng, post_comm, post_quarter, m_comm, m_glob)]
-
-    # drifted-hashtag injection: owner-dominated, community-bound per period
-    drift_year = spec.effective_drift_year
-    user_names = spec.user_names()
-    name_to_idx = {u: i for i, u in enumerate(user_names)}
-    for d, tag in enumerate(spec.drifted_tags()):
-        before_c, after_c = spec.drift_communities(tag)
-        owner_b, owner_a = spec.drift_owners(tag)
-        before = post_year < drift_year
-        cur_comm = np.where(before, before_c, after_c)
-        cur_owner = np.where(before, name_to_idx[owner_b], name_to_idx[owner_a])
-        is_owner = post_user == cur_owner
-        in_comm = post_comm == cur_comm
-        p = np.where(is_owner, DRIFT_OWNER_RATE,
-                     np.where(in_comm, DRIFT_COMM_RATE, 0.0))
-        hits = np.flatnonzero(has_tags & (rng.random(n) < p))
-        pairs.append((hits, np.full(len(hits), n_pool + d)))
-
-    loc_names = [f"loc{i:04d}" for i in range(n_cat * LOCATIONS_PER_CATEGORY)]
+    loc_names = [f"loc{i:04d}" for i in range(len(CATEGORIES) * LOCATIONS_PER_CATEGORY)]
     location_categories = {
-        loc_names[i]: CATEGORIES[i // LOCATIONS_PER_CATEGORY]
-        for i in range(len(loc_names))
+        name: CATEGORIES[i // LOCATIONS_PER_CATEGORY] for i, name in enumerate(loc_names)
     } if spec.located_rate > 0 else {}
 
     order = np.lexsort((post_user, post_ts))
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    pair_posts, pair_tags = map(np.concatenate, zip(*pairs))
+    rank = np.empty(spec.posts, dtype=np.int64)
+    rank[order] = np.arange(spec.posts)
     columns = post_columns(post_user[order], post_ts[order], post_loc_idx[order],
-                           rank[pair_posts], pair_tags, user_names, spec.all_tags(), loc_names)
-
-    friendships = _sample_friendships(spec, rng, user_comm_all)
-    return Corpus(columns=columns, friendships=friendships,
+                           rank[pair_posts], pair_tags, spec.user_names(), spec.all_tags(),
+                           loc_names)
+    return Corpus(columns=columns, friendships=_sample_friendships(spec, rng),
                   location_categories=location_categories)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -194,6 +195,18 @@ class TestDemoSpec:
         assert len(corpus.posts) == 30000
         assert corpus.friendships
         assert corpus.location_categories
+
+    def test_peak_memory(self):
+        # the posts' temporaries end with the stage that draws them, so
+        # only the arrays the columns are built from outlive it (6.2 MB)
+        spec = cli._spec_from_settings(dict(cli.DEFAULTS, seed=1))
+        tracemalloc.start()
+        try:
+            generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
 
 
 def corpus_digest(corpus):
